@@ -1,78 +1,7 @@
-"""Weight-balanced search trees with a red-black baseline and benchmarks."""
+"""Weight-balanced search trees with a red-black baseline and benchmarks.
 
-from .params import (
-    BalanceParams,
-    Feasibility,
-    Mode,
-    PARAM_SETS,
-    Side,
-    classify_feasibility,
-    delta_gamma_from_alpha,
-    alpha_from_delta,
-    is_balanced,
-    make_params,
-    needs_double_rotation,
-    overhang_side,
-    param_set_name,
-    params_from_name,
-)
-from .core import (
-    NIL,
-    Direction,
-    Node,
-    Tree,
-    Violation,
-    dump,
-    rotate_double,
-    rotate_single,
-    structure_string,
-    validate,
-)
-from .bottom_up import BottomUpTree
-from .top_down import TopDownTree
-from .redblack import RedBlackTree, audit as rb_audit
-from .metrics import (
-    CSV_COLUMNS,
-    MetricsRecord,
-    MetricsSink,
-    average_depth,
-    count_violations,
-    max_depth,
-)
-from .oracle import (
-    SortedMultisetOracle,
-    apply_op,
-    audit as full_audit,
-    audit_balance,
-    audit_structure,
-    equivalence_check,
-    exact_balance_predicate,
-)
-from .keygen import (
-    KeyWorkload,
-    SplitMix64,
-    derive_seed,
-    dump_workload,
-    generate,
-    load_workload,
-    mix64,
-)
+Import the submodules directly: wbtree.top_down, wbtree.bottom_up,
+wbtree.redblack, wbtree.oracle, wbtree.bench and so on.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BalanceParams", "Feasibility", "Mode", "PARAM_SETS", "Side",
-    "classify_feasibility", "delta_gamma_from_alpha", "alpha_from_delta",
-    "is_balanced", "make_params", "needs_double_rotation", "overhang_side",
-    "param_set_name", "params_from_name",
-    "NIL", "Direction", "Node", "Tree", "Violation", "dump",
-    "rotate_double", "rotate_single", "structure_string", "validate",
-    "BottomUpTree", "TopDownTree", "RedBlackTree", "rb_audit",
-    "CSV_COLUMNS", "MetricsRecord", "MetricsSink", "average_depth",
-    "count_violations", "max_depth",
-    "SortedMultisetOracle", "apply_op", "full_audit", "audit_balance",
-    "audit_structure", "equivalence_check", "exact_balance_predicate",
-    "KeyWorkload", "SplitMix64", "derive_seed", "dump_workload",
-    "generate", "load_workload", "mix64",
-    "__version__",
-]

@@ -11,7 +11,7 @@ Timed phases repeat on a fresh clone of the base snapshot until the time
 floor is met, and report the per-op mean and standard deviation across
 repetitions. Cells always run sequentially in a fixed order: rows are
 deterministic, and one interpreter lock means thread workers would only
-add timing noise (--serial is accepted and is also the default reality).
+add timing noise.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bottom_up import BottomUpTree
-from .core import structure_string
+from .core import structure_string as tree_shape
 from .keygen import (
     STREAM_BASE,
     STREAM_CHURN,
@@ -45,7 +45,7 @@ from .metrics import (
     summarize_ns,
 )
 from .oracle import audit_balance, audit_structure
-from .params import BalanceParams, classify_feasibility, param_set_name, params_from_name
+from .params import SOUND_PARAMS, BalanceParams, param_set_name, params_from_name
 from .redblack import RedBlackTree
 from .redblack import audit as rb_audit
 from .top_down import TopDownTree
@@ -98,11 +98,8 @@ class VariantSpec:
 
     def balance_guaranteed(self) -> bool:
         """True when this scheme/parameter pairing has a soundness claim."""
-        if self.scheme == "redblack":
-            return True
-        f = classify_feasibility(self.params)
-        return f.bottom_up_feasible if self.scheme == "bottom_up" \
-            else f.top_down_feasible
+        return (self.scheme == "redblack"
+                or self.params in SOUND_PARAMS[self.scheme])
 
     def __repr__(self):
         return f"VariantSpec({self.label})"
@@ -137,7 +134,6 @@ class ExperimentSpec:
     universe: int | None = None    # None: distribution default
     op_pairs: int | None = None    # None: 2 * size
     audit: bool = False
-    double_counts_as: int = 2
 
     def check(self):
         if self.experiment not in EXPERIMENTS:
@@ -154,8 +150,6 @@ class ExperimentSpec:
             raise ValueError("sample-interval must be >= 1")
         if self.time_floor_ms < 0:
             raise ValueError("time-floor-ms must be >= 0")
-        if self.double_counts_as not in (1, 2):
-            raise ValueError("double-counts-as must be 1 or 2")
 
     def universe_for(self, size: int) -> int:
         if self.dist == "presorted":
@@ -172,12 +166,6 @@ class RunResult:
 
     rows: list[MetricsRecord]
     shapes: dict[tuple, str]
-
-
-def tree_shape(tree) -> str:
-    if isinstance(tree, RedBlackTree):
-        return tree.dump().split("\n", 1)[1]
-    return structure_string(tree)
 
 
 def _base_keys(spec: ExperimentSpec, size: int, tree_idx: int) -> list[int]:
@@ -211,7 +199,7 @@ def _timed_reps(spec: ExperimentSpec, base_tree, phase):
     """Clone, run phase, repeat until the floor. Returns (durations ns,
     sink state of the last rep, last rep's tree)."""
     floor = spec.time_floor_ms * 1_000_000
-    sink = MetricsSink(double_counts=spec.double_counts_as)
+    sink = MetricsSink()
     durations: list[int] = []
     spent = 0
     last = None
@@ -342,7 +330,7 @@ def run_depth_churn(spec: ExperimentSpec) -> RunResult:
                               spec.zipf_s)
             for vs in spec.variants:
                 t = _build(vs, keys)
-                sink = MetricsSink(double_counts=spec.double_counts_as)
+                sink = MetricsSink()
                 t.sink = sink
                 ins, de = t.insert, t.delete
                 t0 = time.perf_counter_ns()
@@ -382,7 +370,7 @@ def _churn_rows(spec: ExperimentSpec, want_violations: bool) -> RunResult:
             vic_seed = derive_seed(spec.seed, size, ti, STREAM_VICTIM)
             for vs in spec.variants:
                 t = _build(vs, keys)
-                sink = MetricsSink(double_counts=spec.double_counts_as)
+                sink = MetricsSink()
                 t.sink = sink
                 rng = SplitMix64(vic_seed)
                 below = rng.below
@@ -486,7 +474,7 @@ def run_replay(spec: ExperimentSpec, seq: OpSequence) -> RunResult:
     means = {}
     per_variant = []
     for vs in variants:
-        sink = MetricsSink(double_counts=spec.double_counts_as)
+        sink = MetricsSink()
         durations = []
         final = None
         for _ in range(REPLAY_REPS):
@@ -540,12 +528,6 @@ def emit_results(rows: list[MetricsRecord], fmt: str, path: str | None):
     else:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
-
-
-def read_results_csv(path: str) -> list[dict]:
-    """Load an emitted CSV back into dicts of strings (round-trip aid)."""
-    with open(path, newline="", encoding="utf-8") as f:
-        return list(csv.DictReader(f))
 
 
 RUNNERS = {

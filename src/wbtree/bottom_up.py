@@ -10,8 +10,7 @@ early exit.
 
 from __future__ import annotations
 
-from .core import (NIL, Direction, Node, Tree, rotate_double, rotate_single,
-                   subtree_maximum)
+from .core import NIL, Node, Tree, rotate_left, rotate_right, subtree_maximum
 
 
 class BottomUpTree(Tree):
@@ -23,7 +22,6 @@ class BottomUpTree(Tree):
         if v is nil:
             self.root = node
             self.size = 1
-            self.last_changed = node
             return node
         touches = 1
         while True:
@@ -41,7 +39,6 @@ class BottomUpTree(Tree):
             v = c
         node.parent = v
         self.size += 1
-        self.last_changed = node
         touches += self._repair_upward(v)
         sink = self.sink
         if sink is not None:
@@ -79,7 +76,6 @@ class BottomUpTree(Tree):
         else:
             p.right = c
         self.size -= 1
-        self.last_changed = p if p is not nil else None
         if p is not nil:
             touches += self._repair_upward(p)
         sink = self.sink
@@ -149,14 +145,12 @@ class BottomUpTree(Tree):
                 # goes to the double rotation — with integral parameters a
                 # tied single can leave the raised child unbalanced.
                 if r.left.weight * gd >= r.right.weight * gn:
-                    rotate_double(self, v, Direction.LEFT)
-                else:
-                    rotate_single(self, v, Direction.LEFT)
+                    rotate_right(self, r)
+                rotate_left(self, v)
             elif wr * dn < wl * dd:
                 if l.right.weight * gd >= l.left.weight * gn:
-                    rotate_double(self, v, Direction.RIGHT)
-                else:
-                    rotate_single(self, v, Direction.RIGHT)
+                    rotate_left(self, l)
+                rotate_right(self, v)
             v = parent
         # Splices and rotations may aim the sentinel's parent at real nodes;
         # re-loop it so the tree rests with the sentinel self-looped.

@@ -66,11 +66,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--audit", action="store_true",
                    help="verify structure (and balance where guaranteed) "
                         "after each phase; exit 2 on any defect")
-    p.add_argument("--serial", action="store_true",
-                   help="force sequential cells (they already are; accepted "
-                        "so scripts can pin low-noise timing explicitly)")
-    p.add_argument("--double-counts-as", type=int, choices=[1, 2], default=2,
-                   help="count a double rotation as 1 or 2 rotations")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +117,6 @@ def main(argv=None) -> int:
             universe=args.universe,
             op_pairs=args.op_pairs,
             audit=args.audit,
-            double_counts_as=args.double_counts_as,
         )
         spec.check()
     except ValueError as e:

@@ -16,10 +16,9 @@ here is safe for concurrent mutation.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterator, Optional
 
-from .params import BalanceParams, Side, is_balanced
+from .params import BalanceParams
 
 
 class Node:
@@ -44,31 +43,10 @@ NIL.right = NIL
 NIL.parent = NIL
 
 
-class Direction(enum.Enum):
-    LEFT = 0
-    RIGHT = 1
-
-
-class Violation:
-    """One structural defect found by validate()."""
-
-    __slots__ = ("kind", "key", "detail")
-
-    def __init__(self, kind: str, key, detail: str):
-        self.kind = kind
-        self.key = key
-        self.detail = detail
-
-    def __repr__(self):
-        return f"Violation({self.kind}, key={self.key!r}, {self.detail})"
-
-
 class Tree:
     """Shared state and read-only operations for both rebalancing schemes.
 
-    Subclasses implement insert/delete. last_changed tracks the deepest node
-    a mutation propagated from; audits and tests use it to walk only the
-    affected ancestor chain.
+    Subclasses implement insert/delete.
     """
 
     nil = NIL
@@ -78,7 +56,6 @@ class Tree:
         self.size = 0
         self.params = params
         self.sink = sink
-        self.last_changed: Optional[Node] = None
         self._dn = params.dn
         self._dd = params.dd
         self._gn = params.gn
@@ -96,22 +73,6 @@ class Tree:
                 return v
             v = v.left if key < k else v.right
         return None
-
-    def minimum(self) -> Optional[Node]:
-        v = self.root
-        if v is NIL:
-            return None
-        while v.left is not NIL:
-            v = v.left
-        return v
-
-    def maximum(self) -> Optional[Node]:
-        v = self.root
-        if v is NIL:
-            return None
-        while v.right is not NIL:
-            v = v.right
-        return v
 
     def inorder_keys(self) -> list:
         out = []
@@ -172,8 +133,16 @@ def subtree_maximum(v: Node) -> Node:
     return v
 
 
-def _rotate_left(tree: Tree, v: Node) -> Node:
-    """Raise v.right into v's position. Recomputes both weights."""
+def rotate_left(tree: Tree, v: Node) -> Node:
+    """Raise v.right into v's position and return it.
+
+    Recomputes both weights. An attached metrics sink books one rotation
+    with v's weight from before the rotation; a double rotation is two
+    calls, inner pivot first.
+    """
+    sink = tree.sink
+    if sink is not None:
+        sink.record_rotation(v.weight)
     r = v.right
     m = r.left
     v.right = m
@@ -193,7 +162,11 @@ def _rotate_left(tree: Tree, v: Node) -> Node:
     return r
 
 
-def _rotate_right(tree: Tree, v: Node) -> Node:
+def rotate_right(tree: Tree, v: Node) -> Node:
+    """Mirror of rotate_left: raise v.left into v's position."""
+    sink = tree.sink
+    if sink is not None:
+        sink.record_rotation(v.weight)
     r = v.left
     m = r.right
     v.left = m
@@ -213,132 +186,46 @@ def _rotate_right(tree: Tree, v: Node) -> Node:
     return r
 
 
-def rotate_single(tree: Tree, v: Node, direction: Direction) -> Node:
-    """Single rotation around v; returns the node now occupying v's position.
+def structure_string(tree) -> str:
+    """Parenthesized shape: (key L R) with . for an empty subtree.
 
-    The metrics sink, when attached, records one rotation with v's
-    pre-rotation weight.
+    Works for any tree exposing root and a nil sentinel, the red-black
+    baseline included. Iterative, so tree height is not limited by the
+    interpreter's recursion limit.
     """
-    sink = tree.sink
-    if sink is not None:
-        sink.record_single(v.weight)
-    if direction is Direction.LEFT:
-        return _rotate_left(tree, v)
-    return _rotate_right(tree, v)
-
-
-def rotate_double(tree: Tree, v: Node, direction: Direction) -> Node:
-    """Double rotation around v.
-
-    Direction LEFT means: first rotate v.right to the right, then v to the
-    left, raising the inner grandchild. Recorded as two rotations by default
-    (inner pivot's weight first, then v's), or as one event carrying v's
-    weight when the sink is configured that way.
-    """
-    sink = tree.sink
-    if direction is Direction.LEFT:
-        inner_pivot = v.right
-        if sink is not None:
-            sink.record_double(inner_pivot.weight, v.weight)
-        _rotate_right(tree, inner_pivot)
-        return _rotate_left(tree, v)
-    inner_pivot = v.left
-    if sink is not None:
-        sink.record_double(inner_pivot.weight, v.weight)
-    _rotate_left(tree, inner_pivot)
-    return _rotate_right(tree, v)
-
-
-def validate(tree: Tree) -> list[Violation]:
-    """Full structural check: weights, ordering, parent links, size.
-
-    Balance is deliberately not checked here; that is count_violations'
-    job, and infeasible parameter sets are allowed to drift out of balance
-    while remaining structurally sound.
-    """
-    out: list[Violation] = []
-    if NIL.weight != 1:
-        out.append(Violation("nil", None, f"sentinel weight is {NIL.weight}"))
-    root = tree.root
-    if root is NIL:
-        if tree.size != 0:
-            out.append(Violation("size", None, f"empty tree, size={tree.size}"))
-        return out
-    if root.parent is not NIL:
-        out.append(Violation("parent", root.key, "root parent is not NIL"))
-
-    # Post-order walk computing (count, min key, max key) per subtree from
-    # scratch, so stored weights and key ordering are both checked against
-    # ground truth. Ordering check is max(left) <= key <= min(right), which
-    # is exactly "in-order is non-decreasing"; the strict right-side form
-    # would misfire on duplicates that a rotation carried rightward.
-    summary: dict[int, tuple[int, object, object]] = {}
-    stack: list[tuple[Node, bool]] = [(root, False)]
+    nil = tree.nil
+    out = []
+    emit = out.append
+    stack = [tree.root]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        v, expanded = stack.pop()
-        if not expanded:
-            stack.append((v, True))
-            if v.left is not NIL:
-                stack.append((v.left, False))
-            if v.right is not NIL:
-                stack.append((v.right, False))
-            continue
-        n = 1
-        lo = hi = v.key
-        l = v.left
-        r = v.right
-        if l is not NIL:
-            ln, llo, lhi = summary[id(l)]
-            n += ln
-            lo = min(lo, llo)
-            hi = max(hi, lhi)
-            if l.parent is not v:
-                out.append(Violation("parent", l.key, "left child parent link wrong"))
-            if lhi > v.key:
-                out.append(Violation("order", v.key,
-                                     f"left subtree holds {lhi!r} > {v.key!r}"))
-        if r is not NIL:
-            rn, rlo, rhi = summary[id(r)]
-            n += rn
-            lo = min(lo, rlo)
-            hi = max(hi, rhi)
-            if r.parent is not v:
-                out.append(Violation("parent", r.key, "right child parent link wrong"))
-            if rlo < v.key:
-                out.append(Violation("order", v.key,
-                                     f"right subtree holds {rlo!r} < {v.key!r}"))
-        summary[id(v)] = (n, lo, hi)
-        if v.weight != n + 1:
-            out.append(Violation("weight", v.key, f"stored {v.weight}, actual {n + 1}"))
-
-    if summary[id(root)][0] != tree.size:
-        out.append(Violation("size", None,
-                             f"size={tree.size}, counted {summary[id(root)][0]}"))
-    return out
-
-
-def structure_string(tree: Tree) -> str:
-    """Parenthesized shape: (key L R) with . for an empty subtree."""
-    def render(v: Node) -> str:
-        if v is NIL:
-            return "."
-        return f"({v.key} {render(v.left)} {render(v.right)})"
-
-    # Recursion depth equals tree height; fine for anything a test builds.
-    return render(tree.root)
+        v = pop()
+        if type(v) is str:
+            emit(v)
+        elif v is nil:
+            emit(".")
+        else:
+            # Queue what follows the left subtree (" R)") before the left
+            # subtree itself, which pops first. Pushing single items, not
+            # tuples, keeps the cyclic collector out of this loop.
+            r = v.right
+            if r is nil:
+                push(" .)")
+            else:
+                push(")")
+                push(r)
+                push(" ")
+            l = v.left
+            if l is nil:
+                emit(f"({v.key} .")
+            else:
+                emit(f"({v.key} ")
+                push(l)
+    return "".join(out)
 
 
 def dump(tree: Tree) -> str:
     """Two-line debug dump: in-order key:weight pairs, then the shape."""
     pairs = " ".join(f"{v.key}:{v.weight}" for v in tree.inorder_nodes())
     return pairs + "\n" + structure_string(tree)
-
-
-def balance_side(tree: Tree, v: Node) -> Side:
-    """Overhang side at one node using its children's stored weights."""
-    from .params import overhang_side
-    return overhang_side(v.left.weight, v.right.weight, tree.params)
-
-
-def node_is_balanced(tree: Tree, v: Node) -> bool:
-    return is_balanced(v.left.weight, v.right.weight, tree.params)

@@ -1,16 +1,14 @@
-"""Counters, derived measurements, and timing helpers.
+"""Counters, derived measurements, and timing summaries.
 
-A tree with sink=None records nothing and pays nothing. Violation counting
-is a full O(n) traversal by design; harnesses sample it at intervals instead
-of maintaining it incrementally.
+A tree with sink=None records nothing and pays nothing. Counting balance
+violations is a full O(n) traversal by design; harnesses sample it at
+intervals instead of maintaining it incrementally.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, asdict
-from typing import Callable
 
 from .core import NIL, Tree
 
@@ -18,37 +16,20 @@ from .core import NIL, Tree
 class MetricsSink:
     """Rotation and node-touch counters shared by all tree variants.
 
-    double_counts controls how a double rotation is booked: 2 (default)
-    records both constituent rotations with each pivot's pre-rotation weight,
-    inner pivot first; 1 records a single event carrying only the outer
-    pivot's weight.
+    Every rotation is booked singly with its pivot's pre-rotation weight,
+    so a double rotation counts as two, inner pivot first.
     """
 
-    __slots__ = ("rotation_count", "rotated_weight_total", "touch_count",
-                 "double_counts")
+    __slots__ = ("rotation_count", "rotated_weight_total", "touch_count")
 
-    def __init__(self, double_counts: int = 2):
-        if double_counts not in (1, 2):
-            raise ValueError("double_counts must be 1 or 2")
+    def __init__(self):
         self.rotation_count = 0
         self.rotated_weight_total = 0
         self.touch_count = 0
-        self.double_counts = double_counts
 
-    def record_single(self, pivot_weight: int):
+    def record_rotation(self, pivot_weight: int):
         self.rotation_count += 1
         self.rotated_weight_total += pivot_weight
-
-    def record_double(self, inner_weight: int, outer_weight: int):
-        if self.double_counts == 2:
-            self.rotation_count += 2
-            self.rotated_weight_total += inner_weight + outer_weight
-        else:
-            self.rotation_count += 1
-            self.rotated_weight_total += outer_weight
-
-    def record_touches(self, n: int):
-        self.touch_count += n
 
     def reset(self):
         self.rotation_count = 0
@@ -164,13 +145,6 @@ def max_depth(tree) -> int:
         if v.right is not nil:
             stack.append((v.right, d + 1))
     return deepest
-
-
-def time_block(label: str, thunk: Callable[[], None]) -> int:
-    """Run thunk once under the monotonic clock; returns elapsed nanoseconds."""
-    t0 = time.perf_counter_ns()
-    thunk()
-    return time.perf_counter_ns() - t0
 
 
 def summarize_ns(durations: list[int], ops: int) -> tuple[float, float]:

@@ -10,18 +10,20 @@ where weight(v) is the number of nodes below v plus one (empty subtree: 1).
 delta controls how lopsided a node may get; gamma picks between a single and
 a double rotation when a repair is needed.
 
-Parameters are either exact rationals (predicates use integer
-cross-multiplication, exact for weights up to at least 2**31; Python integers
-never overflow) or reals (predicates compare against a precomputed double).
-Every predicate lives here so tree modules never reimplement parameter math.
-Hot paths may inline the comparison `w1 * dn >= w2 * dd` using the operand
-pairs exposed as attributes; those pairs are the single source of truth.
+Parameters are either exact rationals (the comparisons cross-multiply
+integers, exact at any weight since Python integers never overflow) or
+reals (the comparisons use precomputed doubles). This module checks and
+names parameter sets; it holds no predicate. The trees and
+metrics.count_violations inline `w1 * dn >= w2 * dd` and the gamma test
+on the operand pairs exposed here, and oracle.py re-derives the balance
+inequalities in exact arithmetic as the independent check.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -33,74 +35,24 @@ class Mode(enum.Enum):
     REAL = "real"
 
 
-class Side(enum.Enum):
-    NONE = 0
-    LEFT = 1
-    RIGHT = 2
-
-
+@dataclass(frozen=True, slots=True)
 class BalanceParams:
     """Immutable (delta, gamma) pair with precomputed comparison operands.
 
     delta is stored as dn/dd and gamma as gn/gd. In rational mode the four
-    operands are ints; in real mode dn and gn hold the double values and the
-    denominators are 1.0, so the same cross-multiplied expressions work for
-    both modes.
+    operands are ints and delta/gamma are Fractions; in real mode dn and gn
+    hold the double values and the denominators are 1.0, so the same
+    cross-multiplied expressions work for both modes. Build through
+    make_params, which checks the inputs.
     """
 
-    __slots__ = ("mode", "dn", "dd", "gn", "gd", "_delta", "_gamma")
-
-    def __init__(self, delta: RatioOrReal, gamma: RatioOrReal):
-        if isinstance(delta, float) or isinstance(gamma, float):
-            d = float(delta)
-            g = float(gamma)
-            if not (math.isfinite(d) and math.isfinite(g)):
-                raise ValueError("parameters must be finite")
-            if d < 1.0 or g < 1.0:
-                raise ValueError("delta and gamma must both be >= 1")
-            object.__setattr__(self, "mode", Mode.REAL)
-            object.__setattr__(self, "dn", d)
-            object.__setattr__(self, "dd", 1.0)
-            object.__setattr__(self, "gn", g)
-            object.__setattr__(self, "gd", 1.0)
-            object.__setattr__(self, "_delta", d)
-            object.__setattr__(self, "_gamma", g)
-        else:
-            d = Fraction(delta)
-            g = Fraction(gamma)
-            if d < 1 or g < 1:
-                raise ValueError("delta and gamma must both be >= 1")
-            object.__setattr__(self, "mode", Mode.RATIONAL)
-            object.__setattr__(self, "dn", d.numerator)
-            object.__setattr__(self, "dd", d.denominator)
-            object.__setattr__(self, "gn", g.numerator)
-            object.__setattr__(self, "gd", g.denominator)
-            object.__setattr__(self, "_delta", d)
-            object.__setattr__(self, "_gamma", g)
-
-    @property
-    def delta(self):
-        """delta as a Fraction (rational mode) or float (real mode)."""
-        return self._delta
-
-    @property
-    def gamma(self):
-        return self._gamma
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BalanceParams is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, BalanceParams):
-            return NotImplemented
-        return (self.mode is other.mode and self._delta == other._delta
-                and self._gamma == other._gamma)
-
-    def __hash__(self):
-        return hash((self.mode, self._delta, self._gamma))
-
-    def __repr__(self):
-        return f"BalanceParams(delta={self._delta!r}, gamma={self._gamma!r})"
+    delta: RatioOrReal
+    gamma: RatioOrReal
+    mode: Mode
+    dn: int | float
+    dd: int | float
+    gn: int | float
+    gd: int | float
 
 
 def make_params(delta: RatioOrReal, gamma: RatioOrReal) -> BalanceParams:
@@ -109,7 +61,20 @@ def make_params(delta: RatioOrReal, gamma: RatioOrReal) -> BalanceParams:
     Mode is rational exactly when both inputs are exact rationals (int or
     Fraction); a float on either side selects real mode for both.
     """
-    return BalanceParams(delta, gamma)
+    if isinstance(delta, float) or isinstance(gamma, float):
+        d = float(delta)
+        g = float(gamma)
+        if not (math.isfinite(d) and math.isfinite(g)):
+            raise ValueError("parameters must be finite")
+        if d < 1.0 or g < 1.0:
+            raise ValueError("delta and gamma must both be >= 1")
+        return BalanceParams(d, g, Mode.REAL, d, 1.0, g, 1.0)
+    d = Fraction(delta)
+    g = Fraction(gamma)
+    if d < 1 or g < 1:
+        raise ValueError("delta and gamma must both be >= 1")
+    return BalanceParams(d, g, Mode.RATIONAL, d.numerator, d.denominator,
+                         g.numerator, g.denominator)
 
 
 # Canonical parameter sets. classic is the historical real-valued pair
@@ -124,41 +89,13 @@ PARAM_SETS = {
     "overtight": make_params(Fraction(3, 2), Fraction(5, 4)),
 }
 
-_BOTTOM_UP_FEASIBLE = {PARAM_SETS["classic"], PARAM_SETS["integral"]}
-_TOP_DOWN_FEASIBLE = {PARAM_SETS["topdown"]}
-
-
-class Feasibility:
-    """Whether a parameter set has a known soundness guarantee per scheme."""
-
-    __slots__ = ("bottom_up_feasible", "top_down_feasible")
-
-    def __init__(self, bottom_up_feasible: bool, top_down_feasible: bool):
-        object.__setattr__(self, "bottom_up_feasible", bottom_up_feasible)
-        object.__setattr__(self, "top_down_feasible", top_down_feasible)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Feasibility is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Feasibility):
-            return NotImplemented
-        return (self.bottom_up_feasible == other.bottom_up_feasible
-                and self.top_down_feasible == other.top_down_feasible)
-
-    def __repr__(self):
-        return (f"Feasibility(bottom_up={self.bottom_up_feasible}, "
-                f"top_down={self.top_down_feasible})")
-
-
-def classify_feasibility(params: BalanceParams) -> Feasibility:
-    """Map the five canonical sets to their proven guarantees.
-
-    Anything not on the list is treated as having no guarantee at all;
-    harnesses then audit structure only, not balance.
-    """
-    return Feasibility(params in _BOTTOM_UP_FEASIBLE,
-                       params in _TOP_DOWN_FEASIBLE)
+# Scheme -> the parameter sets with a proven soundness guarantee under it.
+# Anything else, custom sets included, has none; harnesses then audit
+# structure only, not balance.
+SOUND_PARAMS = {
+    "bottom_up": frozenset({PARAM_SETS["classic"], PARAM_SETS["integral"]}),
+    "top_down": frozenset({PARAM_SETS["topdown"]}),
+}
 
 
 def params_from_name(name: str) -> BalanceParams:
@@ -198,48 +135,3 @@ def param_set_name(params: BalanceParams) -> str:
     if params.mode is Mode.RATIONAL:
         return f"custom:{params.dn}/{params.dd}:{params.gn}/{params.gd}"
     return f"custom:{params.delta}:{params.gamma}"
-
-
-def is_balanced(wl: int, wr: int, params: BalanceParams) -> bool:
-    """True when the weight pair satisfies both balance inequalities."""
-    dn = params.dn
-    dd = params.dd
-    return wl * dn >= wr * dd and wr * dn >= wl * dd
-
-
-def overhang_side(wl: int, wr: int, params: BalanceParams) -> Side:
-    """Which side is too heavy, if any.
-
-    At most one side can overhang for any delta >= 1: both inequalities
-    failing at once would force delta**2 < 1.
-    """
-    dn = params.dn
-    dd = params.dd
-    if wl * dn < wr * dd:
-        return Side.RIGHT
-    if wr * dn < wl * dd:
-        return Side.LEFT
-    return Side.NONE
-
-
-def needs_double_rotation(inner: int, outer: int, params: BalanceParams) -> bool:
-    """True when the heavy child's inner grandchild outweighs gamma times the outer."""
-    return inner * params.gd > outer * params.gn
-
-
-def delta_gamma_from_alpha(alpha: float) -> tuple[float, float]:
-    """Convert a weight-ratio bound alpha into (delta, gamma).
-
-    delta = (1 - alpha) / alpha and gamma = 1 / (1 - alpha), valid for
-    0 < alpha <= 1/2.
-    """
-    if not 0.0 < alpha <= 0.5:
-        raise ValueError("alpha must be in (0, 1/2]")
-    return (1.0 - alpha) / alpha, 1.0 / (1.0 - alpha)
-
-
-def alpha_from_delta(delta: float) -> float:
-    """Inverse of the delta conversion: alpha = 1 / (1 + delta)."""
-    if delta < 1.0:
-        raise ValueError("delta must be >= 1")
-    return 1.0 / (1.0 + delta)

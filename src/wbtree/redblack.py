@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .core import structure_string
+
 RED = True
 BLACK = False
 
@@ -44,7 +46,6 @@ class RedBlackTree:
         self.root = nil
         self.size = 0
         self.sink = sink
-        self.last_changed: Optional[RbNode] = None
 
     def __len__(self):
         return self.size
@@ -93,7 +94,7 @@ class RedBlackTree:
     def _rotate_left(self, v: RbNode):
         sink = self.sink
         if sink is not None:
-            sink.record_single(self._subtree_weight(v))
+            sink.record_rotation(self._subtree_weight(v))
         nil = self.nil
         r = v.right
         v.right = r.left
@@ -112,7 +113,7 @@ class RedBlackTree:
     def _rotate_right(self, v: RbNode):
         sink = self.sink
         if sink is not None:
-            sink.record_single(self._subtree_weight(v))
+            sink.record_rotation(self._subtree_weight(v))
         nil = self.nil
         l = v.left
         v.left = l.right
@@ -143,7 +144,6 @@ class RedBlackTree:
         else:
             p.right = node
         self.size += 1
-        self.last_changed = node
         self._insert_fixup(node)
         return node
 
@@ -211,7 +211,6 @@ class RedBlackTree:
     def delete(self, key) -> bool:
         z = self.search(key)
         if z is None:
-            self.last_changed = None
             return False
         nil = self.nil
         y = z
@@ -238,9 +237,6 @@ class RedBlackTree:
             y.left.parent = y
             y.red = z.red
         self.size -= 1
-        self.last_changed = x if x is not nil else x.parent
-        if self.last_changed is nil:
-            self.last_changed = None
         if not y_was_red:
             self._delete_fixup(x)
         # Transplant aims nil.parent at the splice point on purpose (the
@@ -342,13 +338,7 @@ class RedBlackTree:
             order.append(v)
             v = v.right
         pairs = " ".join(f"{n.key}:{weights[id(n)]}" for n in order)
-
-        def render(n: RbNode) -> str:
-            if n is nil:
-                return "."
-            return f"({n.key} {render(n.left)} {render(n.right)})"
-
-        return pairs + "\n" + render(self.root)
+        return pairs + "\n" + structure_string(self)
 
 
 def audit(tree: RedBlackTree) -> list[str]:

@@ -30,12 +30,14 @@ predecessor into the doomed node's place during the same downward pass,
 decrementing and repairing along the continued path to the predecessor. If
 the key turns out to be absent, a second pass back up the parent chain
 restores the decremented weights and the delete reports False; rotations
-already made are kept, as they leave the tree structurally sound.
+already made are kept, as they leave the tree structurally sound. The same
+walk undoes the pending +1s or -1s when a key comparison raises, in insert
+and delete alike, before the exception propagates.
 """
 
 from __future__ import annotations
 
-from .core import NIL, Direction, Node, Tree, rotate_double, rotate_single
+from .core import NIL, Node, Tree, rotate_left, rotate_right
 
 
 class TopDownTree(Tree):
@@ -47,7 +49,6 @@ class TopDownTree(Tree):
             node = Node(key, nil, nil, nil, 2)
             self.root = node
             self.size = 1
-            self.last_changed = node
             sink = self.sink
             if sink is not None:
                 sink.touch_count += 1
@@ -55,48 +56,52 @@ class TopDownTree(Tree):
         dn = self._dn
         dd = self._dd
         touches = 0
-        while True:
-            touches += 1
-            v.weight += 1
-            if key <= v.key:
-                l = v.left
-                # Pending arrival on the left: overload iff (|L|+1) > |R|*delta.
-                if l is not nil and (l.weight + 1) * dd > v.right.weight * dn:
-                    s, node = self._insert_repair_left(v, key)
-                    if node is not None:
-                        touches += 2
+        try:
+            while True:
+                touches += 1
+                v.weight += 1
+                if key <= v.key:
+                    l = v.left
+                    # Pending arrival on the left: overload iff (|L|+1) > |R|*delta.
+                    if l is not nil and (l.weight + 1) * dd > v.right.weight * dn:
+                        s, node = self._insert_repair_left(v, key)
+                        if node is not None:
+                            touches += 2
+                            break
+                        if s is not v:
+                            touches += 2
+                            s.weight += 1
+                            v = s
+                else:
+                    r = v.right
+                    if r is not nil and (r.weight + 1) * dd > v.left.weight * dn:
+                        s, node = self._insert_repair_right(v, key)
+                        if node is not None:
+                            touches += 2
+                            break
+                        if s is not v:
+                            touches += 2
+                            s.weight += 1
+                            v = s
+                # Descend one level, re-aimed against the current occupant.
+                if key <= v.key:
+                    c = v.left
+                    if c is nil:
+                        node = Node(key, nil, nil, v, 2)
+                        v.left = node
                         break
-                    if s is not v:
-                        touches += 2
-                        s.weight += 1
-                        v = s
-            else:
-                r = v.right
-                if r is not nil and (r.weight + 1) * dd > v.left.weight * dn:
-                    s, node = self._insert_repair_right(v, key)
-                    if node is not None:
-                        touches += 2
+                else:
+                    c = v.right
+                    if c is nil:
+                        node = Node(key, nil, nil, v, 2)
+                        v.right = node
                         break
-                    if s is not v:
-                        touches += 2
-                        s.weight += 1
-                        v = s
-            # Descend one level, re-aimed against the current occupant.
-            if key <= v.key:
-                c = v.left
-                if c is nil:
-                    node = Node(key, nil, nil, v, 2)
-                    v.left = node
-                    break
-            else:
-                c = v.right
-                if c is nil:
-                    node = Node(key, nil, nil, v, 2)
-                    v.right = node
-                    break
-            v = c
+                v = c
+        except BaseException:
+            # A key comparison raised: take back the pending +1s.
+            self._rollback(v, -1)
+            raise
         self.size += 1
-        self.last_changed = node
         # Descent rotations may scribble on the sentinel's parent; rest it.
         nil.parent = nil
         sink = self.sink
@@ -121,11 +126,12 @@ class TopDownTree(Tree):
                 # double it stands in for, with tree-as-it-will-be weights.
                 sink = self.sink
                 if sink is not None:
-                    sink.record_double(l.weight + 1, v.weight)
+                    sink.record_rotation(l.weight + 1)
+                    sink.record_rotation(v.weight)
                 return v, self._materialize(v, l, v, key)
         if dbl:
-            return rotate_double(self, v, Direction.RIGHT), None
-        return rotate_single(self, v, Direction.RIGHT), None
+            rotate_left(self, l)
+        return rotate_right(self, v), None
 
     def _insert_repair_right(self, v: Node, key):
         r = v.right
@@ -140,11 +146,12 @@ class TopDownTree(Tree):
             if dbl and inner is NIL:
                 sink = self.sink
                 if sink is not None:
-                    sink.record_double(r.weight + 1, v.weight)
+                    sink.record_rotation(r.weight + 1)
+                    sink.record_rotation(v.weight)
                 return v, self._materialize(v, v, r, key)
         if dbl:
-            return rotate_double(self, v, Direction.LEFT), None
-        return rotate_single(self, v, Direction.LEFT), None
+            rotate_right(self, r)
+        return rotate_left(self, v), None
 
     def _materialize(self, v: Node, a: Node, b: Node, key) -> Node:
         # New node at v's position with children (a, b); a keeps only its
@@ -177,70 +184,74 @@ class TopDownTree(Tree):
         v.weight -= 1
         repaired = False
         touches = 1
-        while True:
-            k = v.key
-            if key == k:
-                l = v.left
-                r = v.right
-                if l is nil or r is nil:
-                    self._splice_out(v)
+        try:
+            while True:
+                k = v.key
+                if key == k:
+                    l = v.left
+                    r = v.right
+                    if l is nil or r is nil:
+                        self._splice_out(v)
+                        self.size -= 1
+                        sink = self.sink
+                        if sink is not None:
+                            sink.touch_count += touches
+                        return True
+                    # Two children: the predecessor will leave the left subtree.
+                    if not repaired and r.weight * dd > (l.weight - 1) * dn:
+                        s = self._delete_repair(v, raise_right=True)
+                        if s is not v:
+                            touches += 2
+                            s.weight -= 1
+                            v = s
+                            repaired = True
+                            continue
+                    touches += self._remove_two_child(v)
                     self.size -= 1
                     sink = self.sink
                     if sink is not None:
                         sink.touch_count += touches
                     return True
-                # Two children: the predecessor will leave the left subtree.
-                if not repaired and r.weight * dd > (l.weight - 1) * dn:
-                    s = self._delete_repair(v, raise_right=True)
-                    if s is not v:
-                        touches += 2
-                        s.weight -= 1
-                        v = s
-                        repaired = True
-                        continue
-                touches += self._remove_two_child(v)
-                self.size -= 1
-                sink = self.sink
-                if sink is not None:
-                    sink.touch_count += touches
-                return True
-            if key < k:
-                c = v.left
-                if c is nil:
-                    self._rollback(v)
-                    sink = self.sink
-                    if sink is not None:
-                        sink.touch_count += touches
-                    return False
-                # Left side is about to shrink; check the right overhang.
-                if not repaired and v.right.weight * dd > (c.weight - 1) * dn:
-                    s = self._delete_repair(v, raise_right=True)
-                    if s is not v:
-                        touches += 2
-                        s.weight -= 1
-                        v = s
-                        repaired = True
-                        continue
-            else:
-                c = v.right
-                if c is nil:
-                    self._rollback(v)
-                    sink = self.sink
-                    if sink is not None:
-                        sink.touch_count += touches
-                    return False
-                if not repaired and v.left.weight * dd > (c.weight - 1) * dn:
-                    s = self._delete_repair(v, raise_right=False)
-                    if s is not v:
-                        touches += 2
-                        s.weight -= 1
-                        v = s
-                        repaired = True
-                        continue
-            repaired = False
-            v = c
-            v.weight -= 1
-            touches += 1
+                if key < k:
+                    c = v.left
+                    if c is nil:
+                        self._rollback(v, 1)
+                        sink = self.sink
+                        if sink is not None:
+                            sink.touch_count += touches
+                        return False
+                    # Left side is about to shrink; check the right overhang.
+                    if not repaired and v.right.weight * dd > (c.weight - 1) * dn:
+                        s = self._delete_repair(v, raise_right=True)
+                        if s is not v:
+                            touches += 2
+                            s.weight -= 1
+                            v = s
+                            repaired = True
+                            continue
+                else:
+                    c = v.right
+                    if c is nil:
+                        self._rollback(v, 1)
+                        sink = self.sink
+                        if sink is not None:
+                            sink.touch_count += touches
+                        return False
+                    if not repaired and v.left.weight * dd > (c.weight - 1) * dn:
+                        s = self._delete_repair(v, raise_right=False)
+                        if s is not v:
+                            touches += 2
+                            s.weight -= 1
+                            v = s
+                            repaired = True
+                            continue
+                repaired = False
+                v = c
+                v.weight -= 1
+                touches += 1
+        except BaseException:
+            self._rollback(v, 1)
+            raise
 
     def _delete_repair(self, v: Node, raise_right: bool) -> Node:
         # Heavy child sits opposite the shrinking side; the deletion target
@@ -250,12 +261,12 @@ class TopDownTree(Tree):
         if raise_right:
             h = v.right
             if h.left.weight * gd > h.right.weight * gn:
-                return rotate_double(self, v, Direction.LEFT)
-            return rotate_single(self, v, Direction.LEFT)
+                rotate_right(self, h)
+            return rotate_left(self, v)
         h = v.left
         if h.right.weight * gd > h.left.weight * gn:
-            return rotate_double(self, v, Direction.RIGHT)
-        return rotate_single(self, v, Direction.RIGHT)
+            rotate_left(self, h)
+        return rotate_right(self, v)
 
     def _remove_two_child(self, v: Node) -> int:
         # Continue the downward pass to the predecessor, then relink it into
@@ -287,7 +298,6 @@ class TopDownTree(Tree):
             # subtree; it only gains v's right side.
             u.right = v.right
             v.right.parent = u
-            self.last_changed = u
         else:
             lu = u.left
             p.right = lu
@@ -296,7 +306,6 @@ class TopDownTree(Tree):
             v.left.parent = u
             u.right = v.right
             v.right.parent = u
-            self.last_changed = p
         g = v.parent
         u.parent = g
         if g is nil:
@@ -320,14 +329,15 @@ class TopDownTree(Tree):
             p.left = c
         else:
             p.right = c
-        self.last_changed = p if p is not nil else None
         nil.parent = nil
 
-    def _rollback(self, v: Node):
-        # Absent key: undo the optimistic decrements along the current
-        # ancestor chain. Rotations performed on the way down stay.
+    def _rollback(self, v: Node, step: int):
+        # Absent key, or a key comparison raised: add step back along the
+        # current ancestor chain to undo the optimistic weight changes.
+        # Rotations performed on the way down stay; they leave the tree
+        # structurally sound.
         nil = NIL
         while v is not nil:
-            v.weight += 1
+            v.weight += step
             v = v.parent
         nil.parent = nil

@@ -1,9 +1,10 @@
 from hypothesis import given, strategies as st
 
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import NIL, Node, dump, validate
+from wbtree.core import NIL, Node, dump
 from wbtree.metrics import MetricsSink, count_violations, max_depth
-from wbtree.oracle import SortedMultisetOracle, audit, equivalence_check
+from wbtree.oracle import (SortedMultisetOracle, audit, audit_structure,
+                           equivalence_check)
 from wbtree.params import PARAM_SETS
 
 
@@ -28,12 +29,12 @@ def test_insert_returns_new_node():
     n = t.insert(7)
     assert n is t.root and n.key == 7
     m = t.insert(3)
-    assert m.key == 3 and t.last_changed is m
+    assert m.key == 3 and m.parent is n
 
 
 def test_sorted_inserts_stay_balanced():
     t = grown(range(200))
-    assert validate(t) == []
+    assert audit_structure(t) == []
     assert count_violations(t) == 0
     assert max_depth(t) <= 16  # far below the 199 an unbalanced BST would hit
 
@@ -51,7 +52,7 @@ def test_delete_leaf_and_missing():
     assert t.delete(1) is True
     assert t.delete(1) is False
     assert t.inorder_keys() == [2, 3]
-    assert validate(t) == []
+    assert audit_structure(t) == []
     assert t.delete(99) is False
     assert len(t) == 2
 
@@ -60,7 +61,7 @@ def test_delete_one_child_node():
     t = grown([2, 1, 3, 4])
     assert t.delete(3) is True
     assert t.inorder_keys() == [1, 2, 4]
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_delete_two_child_node_uses_predecessor():
@@ -69,7 +70,7 @@ def test_delete_two_child_node_uses_predecessor():
     # 7 is 10's in-order predecessor and takes its place
     assert t.root.key == 7
     assert t.inorder_keys() == [3, 5, 7, 15, 20, 30]
-    assert validate(t) == []
+    assert audit_structure(t) == []
     assert count_violations(t) == 0
 
 
@@ -77,7 +78,7 @@ def test_delete_root_until_empty():
     t = grown([4, 2, 6, 1, 3, 5, 7])
     for _ in range(7):
         assert t.delete(t.root.key) is True
-        assert validate(t) == []
+        assert audit_structure(t) == []
     assert len(t) == 0 and t.root is NIL
 
 
@@ -87,7 +88,7 @@ def test_delete_repairs_all_the_way_up():
     for k in range(40):
         assert t.delete(k)
         assert count_violations(t) == 0
-        assert validate(t) == []
+        assert audit_structure(t) == []
 
 
 def test_delete_gamma_tie_takes_double_rotation():
@@ -114,7 +115,7 @@ def test_delete_gamma_tie_takes_double_rotation():
               (30, (25, None, None), (40, None, None))),
          (60, None, None)))
     t.size = 7
-    assert validate(t) == [] and count_violations(t) == 0
+    assert audit_structure(t) == [] and count_violations(t) == 0
 
     assert t.delete(60)
     assert count_violations(t) == 0
@@ -156,7 +157,7 @@ def test_classic_params_hold_balance_too(inserts, deletes):
     for k in deletes:
         t.delete(k)
     assert count_violations(t) == 0
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 @given(keys_strategy)
@@ -168,4 +169,4 @@ def test_infeasible_params_still_structurally_sound(keys):
         t.insert(k)
     for k in keys[::2]:
         t.delete(k)
-    assert validate(t) == []
+    assert audit_structure(t) == []

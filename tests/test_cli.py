@@ -38,7 +38,7 @@ def test_help_exits_zero(capsys):
     [],                                      # experiment is required
     ["frobnicate"],                          # unknown experiment
     ["insert-pct", "--dist", "gaussian"],    # bad choice
-    ["insert-pct", "--double-counts-as", "3"],
+    ["insert-pct", "--serial"],              # removed option
 ])
 def test_usage_errors_exit_one(argv, capsys):
     code, _, _ = run(argv, capsys)
@@ -150,6 +150,18 @@ def test_replay_parse_error_exit_three(tmp_path, capsys):
     code, _, err = run(["replay", str(seq)], capsys)
     assert code == 3
     assert "line 2" in err
+
+
+def test_replay_of_a_deep_chain_succeeds(tmp_path, capsys):
+    # delta = 100000 never rotates, so sorted keys build a 3000-deep chain;
+    # rendering its shape must not hit the interpreter's recursion limit.
+    seq = tmp_path / "sorted.txt"
+    seq.write_text("".join(f"i {k}\n" for k in range(3000)))
+    code, out, err = run(
+        ["replay", str(seq), "--variants", "top_down",
+         "--params", "custom:100000/1:2/1"], capsys)
+    assert code == 0, err
+    assert ",custom:100000/1:2/1," in out
 
 
 def test_unwritable_out_exit_three(tmp_path, capsys):

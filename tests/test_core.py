@@ -3,19 +3,17 @@ from hypothesis import given, strategies as st
 from wbtree.bottom_up import BottomUpTree
 from wbtree.core import (
     NIL,
-    Direction,
     Node,
     Tree,
     dump,
-    node_is_balanced,
-    rotate_double,
-    rotate_single,
+    rotate_left,
+    rotate_right,
     structure_string,
     subtree_maximum,
-    validate,
 )
 from wbtree.metrics import MetricsSink
-from wbtree.params import PARAM_SETS, Side, make_params
+from wbtree.oracle import audit_structure
+from wbtree.params import PARAM_SETS
 
 
 def build(shape, parent=NIL):
@@ -53,7 +51,7 @@ def test_manual_build_weights():
     assert t.root.left.weight == 2
     assert t.root.right.weight == 3
     assert len(t) == 4
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_structure_string_and_dump():
@@ -65,19 +63,16 @@ def test_structure_string_and_dump():
 def test_empty_tree_reads():
     t = tree_of(None)
     assert len(t) == 0
-    assert t.minimum() is None and t.maximum() is None
     assert t.search(1) is None
     assert t.inorder_keys() == []
     assert structure_string(t) == "."
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_search_min_max_inorder():
     t = tree_of((10, (5, (2, None, None), (7, None, None)), (20, None, None)))
     assert t.search(7).key == 7
     assert t.search(11) is None
-    assert t.minimum().key == 2
-    assert t.maximum().key == 20
     assert t.inorder_keys() == [2, 5, 7, 10, 20]
     assert subtree_maximum(t.root.left).key == 7
 
@@ -86,7 +81,7 @@ def test_search_returns_highest_duplicate_on_path():
     # Equal key in the left child: descent stops at the root occurrence.
     t = tree_of((10, (10, None, None), (20, None, None)))
     assert t.search(10) is t.root
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_clone_is_deep_and_unlinked():
@@ -95,7 +90,7 @@ def test_clone_is_deep_and_unlinked():
     c = t.clone()
     assert dump(c) == dump(t)
     assert c.sink is None
-    assert validate(c) == []
+    assert audit_structure(c) == []
     assert c.root is not t.root
     t.root.key = 99
     assert c.root.key == 10
@@ -105,7 +100,7 @@ def test_single_rotation_weights_and_links():
     t = tree_of((10, None, (20, None, (30, None, None))))
     sink = MetricsSink()
     t.sink = sink
-    top = rotate_single(t, t.root, Direction.LEFT)
+    top = rotate_left(t, t.root)
     assert top.key == 20 and t.root is top
     assert structure_string(t) == "(20 (10 . .) (30 . .))"
     assert (t.root.weight, t.root.left.weight, t.root.right.weight) == (4, 2, 2)
@@ -113,88 +108,39 @@ def test_single_rotation_weights_and_links():
     assert t.root.left.parent is top and t.root.right.parent is top
     assert sink.rotation_count == 1
     assert sink.rotated_weight_total == 4  # pivot weight before the rotation
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_single_rotation_right_mirror():
     t = tree_of((30, (20, (10, None, None), None), None))
-    top = rotate_single(t, t.root, Direction.RIGHT)
+    top = rotate_right(t, t.root)
     assert structure_string(t) == "(20 (10 . .) (30 . .))"
     assert top.weight == 4
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_rotation_below_root_relinks_parent():
     t = tree_of((50, (10, None, (20, None, (30, None, None))), (60, None, None)))
-    rotate_single(t, t.root.left, Direction.LEFT)
+    rotate_left(t, t.root.left)
     assert structure_string(t) == "(50 (20 (10 . .) (30 . .)) (60 . .))"
     assert t.root.left.parent is t.root
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_double_rotation_raises_inner_grandchild():
     t = tree_of((10, (5, None, None), (20, (15, None, None), None)))
     sink = MetricsSink()
     t.sink = sink
-    top = rotate_double(t, t.root, Direction.LEFT)
+    rotate_right(t, t.root.right)
+    top = rotate_left(t, t.root)
     assert top.key == 15 and t.root is top
     assert structure_string(t) == "(15 (10 (5 . .) .) (20 . .))"
     assert (top.weight, top.left.weight, top.right.weight) == (5, 3, 2)
+    # A double rotation books two rotations: the heavy-child pivot's
+    # weight (3) plus v's weight (5), both pre-rotation.
     assert sink.rotation_count == 2
-    # heavy-child pivot weight (3) plus v's weight (5), both pre-rotation
     assert sink.rotated_weight_total == 8
-    assert validate(t) == []
-
-
-def test_double_rotation_counts_once_when_configured():
-    t = tree_of((10, (5, None, None), (20, (15, None, None), None)))
-    t.sink = MetricsSink(double_counts=1)
-    rotate_double(t, t.root, Direction.LEFT)
-    assert t.sink.rotation_count == 1
-    assert t.sink.rotated_weight_total == 5
-
-
-def test_validate_flags_weight_tamper():
-    t = tree_of((10, (5, None, None), (20, None, None)))
-    t.root.left.weight = 7
-    kinds = {v.kind for v in validate(t)}
-    assert "weight" in kinds
-
-
-def test_validate_flags_order_tamper():
-    t = tree_of((10, (5, None, (12, None, None)), (20, None, None)))
-    kinds = {v.kind for v in validate(t)}
-    assert "order" in kinds
-
-
-def test_validate_accepts_duplicates_weakly_ordered():
-    # An equal key on either side is legal; rotations move them around.
-    t = tree_of((10, (10, None, None), (10, None, (11, None, None))))
-    assert validate(t) == []
-
-
-def test_validate_flags_parent_tamper():
-    t = tree_of((10, (5, None, None), (20, None, None)))
-    t.root.right.parent = t.root.left
-    kinds = {v.kind for v in validate(t)}
-    assert kinds == {"parent"}
-
-
-def test_validate_flags_size_tamper():
-    t = tree_of((10, (5, None, None), None))
-    t.size = 3
-    kinds = {v.kind for v in validate(t)}
-    assert kinds == {"size"}
-
-
-def test_balance_helpers():
-    t = tree_of((10, None, (20, (15, None, None), (25, None, None))),
-                params=make_params(2, 1))
-    # weights 1 vs 4 at the root: right side overhangs for delta = 2
-    assert node_is_balanced(t, t.root) is False
-    from wbtree.core import balance_side
-    assert balance_side(t, t.root) is Side.RIGHT
-    assert node_is_balanced(t, t.root.right) is True
+    assert audit_structure(t) == []
 
 
 @given(st.lists(st.integers(-50, 50), min_size=2, max_size=80))
@@ -204,11 +150,11 @@ def test_single_rotations_preserve_order_and_structure(keys):
         t.insert(k)
     before = t.inorder_keys()
     if t.root.right is not NIL:
-        rotate_single(t, t.root, Direction.LEFT)
+        rotate_left(t, t.root)
     if t.root.left is not NIL:
-        rotate_single(t, t.root, Direction.RIGHT)
+        rotate_right(t, t.root)
     assert t.inorder_keys() == before
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 @given(st.lists(st.integers(-50, 50), min_size=4, max_size=80))
@@ -218,8 +164,10 @@ def test_double_rotations_preserve_order_and_structure(keys):
         t.insert(k)
     before = t.inorder_keys()
     if t.root.right is not NIL and t.root.right.left is not NIL:
-        rotate_double(t, t.root, Direction.LEFT)
+        rotate_right(t, t.root.right)
+        rotate_left(t, t.root)
     if t.root.left is not NIL and t.root.left.right is not NIL:
-        rotate_double(t, t.root, Direction.RIGHT)
+        rotate_left(t, t.root.left)
+        rotate_right(t, t.root)
     assert t.inorder_keys() == before
-    assert validate(t) == []
+    assert audit_structure(t) == []

@@ -11,7 +11,6 @@ from wbtree.metrics import (
     count_violations,
     max_depth,
     summarize_ns,
-    time_block,
 )
 from wbtree.params import PARAM_SETS, make_params
 from wbtree.redblack import RedBlackTree
@@ -22,35 +21,16 @@ from test_core import tree_of
 
 def test_sink_single_accumulates():
     s = MetricsSink()
-    s.record_single(5)
-    s.record_single(2)
+    s.record_rotation(5)
+    s.record_rotation(2)
     assert s.rotation_count == 2
     assert s.rotated_weight_total == 7
 
 
-def test_sink_double_counts_two_by_default():
-    s = MetricsSink()
-    s.record_double(3, 8)
-    assert s.rotation_count == 2
-    assert s.rotated_weight_total == 11
-
-
-def test_sink_double_counts_one_when_asked():
-    s = MetricsSink(double_counts=1)
-    s.record_double(3, 8)
-    assert s.rotation_count == 1
-    assert s.rotated_weight_total == 8  # only the outer pivot is booked
-
-
-def test_sink_rejects_other_double_policies():
-    with pytest.raises(ValueError):
-        MetricsSink(double_counts=3)
-
-
 def test_sink_reset_clears_everything():
     s = MetricsSink()
-    s.record_single(4)
-    s.record_touches(9)
+    s.record_rotation(4)
+    s.touch_count = 9
     s.reset()
     assert (s.rotation_count, s.rotated_weight_total, s.touch_count) == (0, 0, 0)
 
@@ -90,11 +70,6 @@ def test_max_depth():
     assert max_depth(tree_of(None)) == -1
     assert max_depth(tree_of((1, None, None))) == 0
     assert max_depth(tree_of((1, None, (2, None, (3, None, None))))) == 2
-
-
-def test_time_block_measures_something():
-    ns = time_block("noop", lambda: sum(range(1000)))
-    assert ns > 0
 
 
 def test_summarize_ns():

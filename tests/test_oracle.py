@@ -51,6 +51,15 @@ def test_audit_structure_catches_weight_tamper():
 def test_audit_structure_catches_order_tamper():
     t = tree_of((2, (3, None, None), (1, None, None)))
     assert audit_structure(t) != []
+    # 12 is in order against its parent 5 but sits left of the root 10.
+    t = tree_of((10, (5, None, (12, None, None)), (20, None, None)))
+    assert any("order" in line for line in audit_structure(t))
+
+
+def test_audit_structure_accepts_duplicates_weakly_ordered():
+    # An equal key on either side is legal; rotations move them around.
+    t = tree_of((10, (10, None, None), (10, None, (11, None, None))))
+    assert audit_structure(t) == []
 
 
 def test_audit_structure_catches_parent_tamper():

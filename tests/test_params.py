@@ -1,20 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
+from wbtree.bench import VariantSpec
 from wbtree.params import (
     PARAM_SETS,
     Mode,
-    Side,
-    BalanceParams,
-    alpha_from_delta,
-    classify_feasibility,
-    delta_gamma_from_alpha,
-    is_balanced,
     make_params,
-    needs_double_rotation,
-    overhang_side,
     param_set_name,
     params_from_name,
 )
@@ -98,14 +90,15 @@ def test_canonical_sets_present_with_expected_operands():
     ],
 )
 def test_feasibility_table(name, bu, td):
-    f = classify_feasibility(PARAM_SETS[name])
-    assert f.bottom_up_feasible is bu
-    assert f.top_down_feasible is td
+    p = PARAM_SETS[name]
+    assert VariantSpec("bottom_up", p).balance_guaranteed() is bu
+    assert VariantSpec("top_down", p).balance_guaranteed() is td
 
 
 def test_custom_params_are_never_feasible():
-    f = classify_feasibility(make_params(4, 2))
-    assert not f.bottom_up_feasible and not f.top_down_feasible
+    p = make_params(4, 2)
+    assert not VariantSpec("bottom_up", p).balance_guaranteed()
+    assert not VariantSpec("top_down", p).balance_guaranteed()
 
 
 def test_params_from_name_canonical():
@@ -143,57 +136,6 @@ def test_param_set_name_round_trip():
     assert param_set_name(make_params(5, 3)) == "custom:5/1:3/1"
     again = params_from_name(param_set_name(make_params(Fraction(7, 4), Fraction(6, 5))))
     assert again == make_params(Fraction(7, 4), Fraction(6, 5))
-
-
-def test_is_balanced_small_cases():
-    p = make_params(3, 2)
-    assert is_balanced(1, 1, p)
-    assert is_balanced(1, 3, p)
-    assert not is_balanced(1, 4, p)
-    assert is_balanced(6, 2, p)
-    assert not is_balanced(7, 2, p)
-
-
-def test_overhang_side_points_at_heavier_child():
-    p = make_params(2, Fraction(3, 2))
-    assert overhang_side(1, 3, p) is Side.RIGHT
-    assert overhang_side(3, 1, p) is Side.LEFT
-    assert overhang_side(2, 3, p) is Side.NONE
-
-
-def test_needs_double_rotation_threshold():
-    p = make_params(3, Fraction(4, 3))
-    # double iff inner * 3 > outer * 4
-    assert needs_double_rotation(3, 2, p)
-    assert not needs_double_rotation(4, 3, p)
-
-
-weights = st.integers(min_value=1, max_value=10 ** 6)
-rational_terms = st.integers(min_value=1, max_value=50)
-
-
-@given(weights, weights, rational_terms, rational_terms)
-def test_is_balanced_matches_fraction_arithmetic(wl, wr, num, den):
-    delta = Fraction(num + den, den)  # >= 1 by construction
-    p = make_params(delta, 1)
-    want = wl * delta >= wr and wr * delta >= wl
-    assert is_balanced(wl, wr, p) == want
-
-
-@given(st.floats(min_value=0.01, max_value=0.5, allow_nan=False))
-def test_alpha_delta_round_trip(alpha):
-    delta, gamma = delta_gamma_from_alpha(alpha)
-    assert delta >= 1 and gamma >= 1
-    assert alpha_from_delta(delta) == pytest.approx(alpha)
-
-
-def test_alpha_conversion_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        delta_gamma_from_alpha(0.6)
-    with pytest.raises(ValueError):
-        delta_gamma_from_alpha(0)
-    with pytest.raises(ValueError):
-        alpha_from_delta(0.5)
 
 
 def test_repr_mentions_both_parameters():

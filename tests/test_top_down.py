@@ -1,6 +1,10 @@
+import itertools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from wbtree.core import NIL, Node, dump, structure_string, validate
+from wbtree.bottom_up import BottomUpTree
+from wbtree.core import NIL, Node, dump, structure_string
 from wbtree.metrics import MetricsSink, count_violations, max_depth
 from wbtree.oracle import (
     SortedMultisetOracle,
@@ -9,6 +13,8 @@ from wbtree.oracle import (
     equivalence_check,
 )
 from wbtree.params import PARAM_SETS
+from wbtree.redblack import RedBlackTree
+from wbtree.redblack import audit as rb_audit
 from wbtree.top_down import TopDownTree
 
 
@@ -54,7 +60,7 @@ def test_anticipated_single_descends_into_moved_subtree():
     # Next insert lands right of 12; the descent repairs near the top
     # before the key ever gets there.
     t.insert(14)
-    assert validate(t) == []
+    assert audit_structure(t) == []
     assert count_violations(t) == 0
     assert t.search(14) is not None
 
@@ -74,14 +80,14 @@ def test_anticipated_double_reaims_below_old_outer_grandchild():
     n10 = link(None, 10, 9, left=n5, right=n20)
     t.root = n10
     t.size = 8
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
     t.insert(27)
     assert dump(t) == (
         "5:2 10:5 12:2 13:3 15:10 17:2 20:5 25:3 27:2\n"
         "(15 (10 (5 . .) (13 (12 . .) .)) (20 (17 . .) (25 . (27 . .))))"
     )
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_empty_slot_double_builds_node_in_place():
@@ -122,11 +128,11 @@ def test_delete_simple_cases():
     t = grown([4, 2, 8, 1, 3, 6, 10])
     assert t.delete(99) is False
     assert len(t) == 7
-    assert validate(t) == []
+    assert audit_structure(t) == []
     assert t.delete(1) is True
     assert t.delete(8) is True
     assert t.inorder_keys() == [2, 3, 4, 6, 10]
-    assert validate(t) == []
+    assert audit_structure(t) == []
     assert count_violations(t) == 0
 
 
@@ -136,7 +142,7 @@ def test_delete_absent_key_rolls_weights_back():
     assert t.delete(200) is False
     assert t.delete(-5) is False
     assert dump(t) == before
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_delete_two_child_uses_predecessor():
@@ -146,7 +152,7 @@ def test_delete_two_child_uses_predecessor():
     assert t.delete(10) is True
     assert t.root.key == 7
     assert t.inorder_keys() == [3, 5, 7, 15, 20, 30]
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_delete_two_child_with_adjacent_predecessor():
@@ -156,14 +162,14 @@ def test_delete_two_child_with_adjacent_predecessor():
         t.insert(k)
     assert t.delete(10) is True
     assert t.inorder_keys() == [5, 20]
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_delete_until_empty():
     t = grown(range(33))
     for k in range(33):
         assert t.delete(k) is True
-        assert validate(t) == []
+        assert audit_structure(t) == []
         assert count_violations(t) == 0
     assert t.root is NIL and len(t) == 0
 
@@ -174,7 +180,7 @@ def test_feasible_params_never_violate():
     for k in range(0, 300, 3):
         t.delete(k)
         assert count_violations(t) == 0
-    assert validate(t) == []
+    assert audit_structure(t) == []
     assert max_depth(t) <= 18
 
 
@@ -185,7 +191,7 @@ def test_duplicate_keys_survive_round_trips():
     assert t.inorder_keys() == [3, 3, 5, 5, 5, 9]
     assert t.delete(5) and t.delete(5)
     assert t.inorder_keys() == [3, 3, 5, 9]
-    assert validate(t) == []
+    assert audit_structure(t) == []
 
 
 def test_touch_count_stays_linear_in_depth():
@@ -197,6 +203,72 @@ def test_touch_count_stays_linear_in_depth():
         t.insert(i * 37 % 1000)
         spent = sink.touch_count - before
         assert spent <= 4 * (depth_before + 2)
+
+
+
+class Fuse:
+    """Compares like the number k for `budget` comparisons, then raises."""
+
+    def __init__(self, k, budget):
+        self.k = k
+        self.budget = budget
+
+    def _spend(self):
+        if self.budget == 0:
+            raise RuntimeError("comparison failed")
+        self.budget -= 1
+
+    def __lt__(self, other):
+        self._spend()
+        return self.k < other
+
+    def __le__(self, other):
+        self._spend()
+        return self.k <= other
+
+    def __gt__(self, other):
+        self._spend()
+        return self.k > other
+
+    def __ge__(self, other):
+        self._spend()
+        return self.k >= other
+
+    def __eq__(self, other):
+        self._spend()
+        return self.k == other
+
+
+RAISING_TREES = {
+    "top_down": (lambda: TopDownTree(PARAM_SETS["topdown"]), audit_structure),
+    "bottom_up": (lambda: BottomUpTree(PARAM_SETS["integral"]),
+                  audit_structure),
+    "redblack": (RedBlackTree, rb_audit),
+}
+
+
+@pytest.mark.parametrize("op,keys,key", [
+    # Top-down rotates on the way to both keys before later budgets run out,
+    # so the weight rollback is exercised across a rotation too.
+    ("insert", [0, 1, 2, 3, 4], 5),
+    ("delete", [4, 2, 8, 6, 10, 12, 14], 1),
+])
+@pytest.mark.parametrize("kind", sorted(RAISING_TREES))
+def test_raising_comparison_leaves_tree_intact(kind, op, keys, key):
+    make, structure_audit = RAISING_TREES[kind]
+    for budget in itertools.count():
+        t = make()
+        for k in keys:
+            t.insert(k)
+        before = t.inorder_keys()
+        try:
+            getattr(t, op)(Fuse(key, budget))
+        except RuntimeError:
+            assert t.inorder_keys() == before
+            assert structure_audit(t) == []
+        else:
+            break  # the budget outlasted the operation
+    assert budget > 0
 
 
 keys_strategy = st.lists(st.integers(0, 40), min_size=0, max_size=120)
