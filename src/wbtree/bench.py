@@ -55,8 +55,6 @@ EXPERIMENTS = ("insert-pct", "erase-pct", "depth-churn", "violations",
 DISTS = ("uniform", "zipf", "skewed", "presorted")
 SCHEMES = ("bottom_up", "top_down", "redblack")
 
-REPLAY_REPS = 10
-
 # Default key universes per distribution; presorted always uses n.
 ZIPF_UNIVERSE = 10 ** 6
 WIDE_UNIVERSE = 2 ** 60
@@ -150,6 +148,13 @@ class ExperimentSpec:
             raise ValueError("sample-interval must be >= 1")
         if self.time_floor_ms < 0:
             raise ValueError("time-floor-ms must be >= 0")
+        least = 10 if self.dist == "skewed" else 1
+        if self.universe is not None and self.universe < least:
+            raise ValueError(f"universe must be >= {least} for {self.dist}")
+        if self.dist == "zipf" and not 0 < self.zipf_s < float("inf"):
+            raise ValueError("zipf-s must be positive and finite")
+        if self.op_pairs is not None and self.op_pairs < 0:
+            raise ValueError("op-pairs must be >= 0")
 
     def universe_for(self, size: int) -> int:
         if self.dist == "presorted":
@@ -202,7 +207,6 @@ def _timed_reps(spec: ExperimentSpec, base_tree, phase):
     sink = MetricsSink()
     durations: list[int] = []
     spent = 0
-    last = None
     was_enabled = gc.isenabled()
     while not durations or spent < floor:
         t = base_tree.clone()
@@ -219,12 +223,11 @@ def _timed_reps(spec: ExperimentSpec, base_tree, phase):
             gc.enable()
         durations.append(dt)
         spent += dt
-        last = t
-    return durations, sink, last
+    return durations, sink, t
 
 
 def _fill(spec: ExperimentSpec, vs: VariantSpec, size: int, **over) -> MetricsRecord:
-    rec = MetricsRecord(
+    return MetricsRecord(
         experiment=spec.experiment,
         variant=vs.scheme,
         params=vs.params_name,
@@ -233,85 +236,79 @@ def _fill(spec: ExperimentSpec, vs: VariantSpec, size: int, **over) -> MetricsRe
         zipf_s=spec.zipf_s if spec.dist == "zipf" else 0.0,
         base_size=size,
         seed=spec.seed,
-    )
-    for k, v in over.items():
-        setattr(rec, k, v)
-    return rec
+        **over)
 
 
-def run_insert_pct(spec: ExperimentSpec) -> RunResult:
-    """Time inserting ceil(5%) fresh keys into each base tree."""
+def _pop_uniform(below, pool: list):
+    """Remove and return a uniform draw from pool: swap it last, pop."""
+    i = below(len(pool))
+    pool[i], pool[-1] = pool[-1], pool[i]
+    return pool.pop()
+
+
+def _violations(vs: VariantSpec, tree) -> int:
+    """Balance violations of a WBT; -1 for red-black, which has no weights."""
+    return count_violations(tree) if vs.scheme != "redblack" else -1
+
+
+def _timed_cell(spec: ExperimentSpec, vs: VariantSpec, size: int, base,
+                op: str, n_ops: int, phase, where: str):
+    """Time phase on clones of base to the floor; audit, summarize and scan
+    the last rep's tree. Returns its row and its shape."""
+    durations, sink, final = _timed_reps(spec, base, phase)
+    _audit_cell(vs, final, spec, where)
+    mean, std = summarize_ns(durations, n_ops)
+    row = _fill(
+        spec, vs, size, op=op, rep=len(durations), op_index=-1,
+        ops=n_ops, elapsed_ns=mean, elapsed_ns_std=std,
+        rotation_count=sink.rotation_count,
+        rotated_weight_total=sink.rotated_weight_total,
+        violation_count=_violations(vs, final),
+        avg_depth=average_depth(final))
+    return row, tree_shape(final)
+
+
+def _pct_rows(spec: ExperimentSpec, op: str, draw) -> RunResult:
+    """Time ceil(5%) ops of one kind on each base tree. draw(size, ti,
+    keys, m) gives the op keys, the same list for every variant."""
     spec.check()
     rows, shapes = [], {}
     for size in spec.sizes:
         m = -(-size // 20)  # ceil(size / 20)
         for ti in range(spec.base_trees):
             keys = _base_keys(spec, size, ti)
-            fresh = fresh_keys(spec.dist, m, spec.universe_for(size),
-                               derive_seed(spec.seed, size, ti, STREAM_FRESH),
-                               spec.zipf_s)
+            batch = draw(size, ti, keys, m)
+
+            def phase(t):
+                apply = t.insert if op == "insert" else t.delete
+                for k in batch:
+                    apply(k)
+
             for vs in spec.variants:
-                base = _build(vs, keys)
-
-                def phase(t, fresh=fresh):
-                    ins = t.insert
-                    for k in fresh:
-                        ins(k)
-
-                durations, sink, final = _timed_reps(spec, base, phase)
-                _audit_cell(vs, final, spec, f"insert-pct n={size} tree={ti}")
-                mean, std = summarize_ns(durations, m)
-                viol = (count_violations(final)
-                        if vs.scheme != "redblack" else -1)
-                rows.append(_fill(
-                    spec, vs, size, op="insert", rep=len(durations),
-                    op_index=-1, ops=m, elapsed_ns=mean, elapsed_ns_std=std,
-                    rotation_count=sink.rotation_count,
-                    rotated_weight_total=sink.rotated_weight_total,
-                    violation_count=viol, avg_depth=average_depth(final)))
-                shapes[(size, ti, vs.label)] = tree_shape(final)
+                row, shapes[(size, ti, vs.label)] = _timed_cell(
+                    spec, vs, size, _build(vs, keys), op, m, phase,
+                    f"{spec.experiment} n={size} tree={ti}")
+                rows.append(row)
     return RunResult(rows, shapes)
+
+
+def run_insert_pct(spec: ExperimentSpec) -> RunResult:
+    """Time inserting ceil(5%) fresh keys into each base tree."""
+    def draw(size, ti, keys, m):
+        return fresh_keys(spec.dist, m, spec.universe_for(size),
+                          derive_seed(spec.seed, size, ti, STREAM_FRESH),
+                          spec.zipf_s)
+    return _pct_rows(spec, "insert", draw)
 
 
 def run_erase_pct(spec: ExperimentSpec) -> RunResult:
     """Time deleting ceil(5%) keys picked uniformly from the contents."""
-    spec.check()
-    rows, shapes = [], {}
-    for size in spec.sizes:
-        m = -(-size // 20)
-        for ti in range(spec.base_trees):
-            keys = _base_keys(spec, size, ti)
-            # Victims: uniform draws without replacement from the multiset,
-            # via swap-pop on a scratch copy. Same list for every variant.
-            rng = SplitMix64(derive_seed(spec.seed, size, ti, STREAM_VICTIM))
-            pool = list(keys)
-            victims = []
-            for _ in range(m):
-                i = rng.below(len(pool))
-                victims.append(pool[i])
-                pool[i] = pool[-1]
-                pool.pop()
-            for vs in spec.variants:
-                base = _build(vs, keys)
-
-                def phase(t, victims=victims):
-                    de = t.delete
-                    for k in victims:
-                        de(k)
-
-                durations, sink, final = _timed_reps(spec, base, phase)
-                _audit_cell(vs, final, spec, f"erase-pct n={size} tree={ti}")
-                mean, std = summarize_ns(durations, m)
-                viol = (count_violations(final)
-                        if vs.scheme != "redblack" else -1)
-                rows.append(_fill(
-                    spec, vs, size, op="erase", rep=len(durations),
-                    op_index=-1, ops=m, elapsed_ns=mean, elapsed_ns_std=std,
-                    rotation_count=sink.rotation_count,
-                    rotated_weight_total=sink.rotated_weight_total,
-                    violation_count=viol, avg_depth=average_depth(final)))
-                shapes[(size, ti, vs.label)] = tree_shape(final)
-    return RunResult(rows, shapes)
+    def draw(size, ti, keys, m):
+        # Uniform draws without replacement from a scratch copy.
+        rng = SplitMix64(derive_seed(spec.seed, size, ti, STREAM_VICTIM))
+        pool = list(keys)
+        return [_pop_uniform(rng.below, pool) for _ in range(m)]
+    return _pct_rows(spec, "erase", draw)
 
 
 def run_depth_churn(spec: ExperimentSpec) -> RunResult:
@@ -339,14 +336,13 @@ def run_depth_churn(spec: ExperimentSpec) -> RunResult:
                     ins(new)
                 dt = time.perf_counter_ns() - t0
                 _audit_cell(vs, t, spec, f"depth-churn n={size} tree={ti}")
-                viol = (count_violations(t)
-                        if vs.scheme != "redblack" else -1)
                 rows.append(_fill(
                     spec, vs, size, op="churn", rep=1, op_index=-1, ops=size,
                     elapsed_ns=dt / size, elapsed_ns_std=0.0,
                     rotation_count=sink.rotation_count,
                     rotated_weight_total=sink.rotated_weight_total,
-                    violation_count=viol, avg_depth=average_depth(t)))
+                    violation_count=_violations(vs, t),
+                    avg_depth=average_depth(t)))
                 shapes[(size, ti, vs.label)] = tree_shape(t)
     return RunResult(rows, shapes)
 
@@ -373,36 +369,24 @@ def _churn_rows(spec: ExperimentSpec, want_violations: bool) -> RunResult:
                 sink = MetricsSink()
                 t.sink = sink
                 rng = SplitMix64(vic_seed)
-                below = rng.below
                 contents = list(keys)
                 ins, de = t.insert, t.delete
                 done = 0
                 while done < pairs:
                     stop = min(done + spec.sample_interval, pairs)
                     for i in range(done, stop):
-                        j = below(len(contents))
-                        victim = contents[j]
-                        contents[j] = contents[-1]
-                        contents.pop()
-                        de(victim)
+                        de(_pop_uniform(rng.below, contents))
                         k = repl[i]
                         ins(k)
                         contents.append(k)
                     done = stop
-                    if want_violations:
-                        viol = (count_violations(t)
-                                if vs.scheme != "redblack" else -1)
-                        rows.append(_fill(
-                            spec, vs, size, op="pair", rep=1, op_index=done,
-                            ops=pairs, violation_count=viol,
-                            rotation_count=sink.rotation_count,
-                            rotated_weight_total=sink.rotated_weight_total))
-                    else:
-                        rows.append(_fill(
-                            spec, vs, size, op="pair", rep=1, op_index=done,
-                            ops=pairs,
-                            rotation_count=sink.rotation_count,
-                            rotated_weight_total=sink.rotated_weight_total))
+                    rows.append(_fill(
+                        spec, vs, size, op="pair", rep=1, op_index=done,
+                        ops=pairs,
+                        violation_count=(_violations(vs, t)
+                                         if want_violations else -1),
+                        rotation_count=sink.rotation_count,
+                        rotated_weight_total=sink.rotated_weight_total))
                 _audit_cell(vs, t, spec,
                             f"{spec.experiment} n={size} tree={ti}")
                 shapes[(size, ti, vs.label)] = tree_shape(t)
@@ -417,93 +401,61 @@ def run_rotations(spec: ExperimentSpec) -> RunResult:
     return _churn_rows(spec, want_violations=False)
 
 
-class OpSequence:
-    """Replayable operation list: (op, key) with op 'i' or 'd'."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self, ops: list[tuple[str, int]] | None = None):
-        self.ops = ops if ops is not None else []
-
-    @staticmethod
-    def parse(text: str) -> "OpSequence":
-        ops = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2 or parts[0] not in ("i", "d"):
-                raise ValueError(f"line {ln}: expected 'i <key>' or "
-                                 f"'d <key>', got {raw!r}")
-            try:
-                key = int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {ln}: bad key {parts[1]!r}") from None
-            ops.append((parts[0], key))
-        return OpSequence(ops)
-
-    def dump(self) -> str:
-        return "".join(f"{op} {key}\n" for op, key in self.ops)
-
-    def __len__(self):
-        return len(self.ops)
-
-    def __eq__(self, other):
-        return isinstance(other, OpSequence) and self.ops == other.ops
+def parse_ops(text: str) -> list[tuple[str, int]]:
+    """Parse a replay file: one 'i <key>' or 'd <key>' per line; blank
+    lines and '#' comments are skipped."""
+    ops = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2 or parts[0] not in ("i", "d"):
+            raise ValueError(f"line {ln}: expected 'i <key>' or "
+                             f"'d <key>', got {raw!r}")
+        try:
+            key = int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {ln}: bad key {parts[1]!r}") from None
+        ops.append((parts[0], key))
+    return ops
 
 
 _REPLAY_BASELINE = ("bottom_up", "classic")
 
 
-def run_replay(spec: ExperimentSpec, seq: OpSequence) -> RunResult:
-    """Replay a recorded sequence against every variant, from empty.
+def run_replay(spec: ExperimentSpec, ops: list[tuple[str, int]]) -> RunResult:
+    """Replay a recorded op list against every variant, from empty.
 
-    Times the whole sequence REPLAY_REPS times per variant and reports
-    per-op mean/stddev plus the mean normalized to the bottom-up classic
-    baseline (auto-added when not already selected).
+    Times the whole list on an empty tree until the time floor is met and
+    reports per-op mean/stddev plus the mean normalized to the bottom-up
+    classic baseline (auto-added when not already selected).
     """
     spec.check()
     variants = list(spec.variants)
-    if not any(vs.scheme == _REPLAY_BASELINE[0]
-               and vs.params_name == _REPLAY_BASELINE[1] for vs in variants):
+    if not any((vs.scheme, vs.params_name) == _REPLAY_BASELINE
+               for vs in variants):
         variants.insert(0, VariantSpec(_REPLAY_BASELINE[0],
                                        params_from_name(_REPLAY_BASELINE[1])))
-    n_ops = max(len(seq), 1)
+
+    def phase(t):
+        ins, de = t.insert, t.delete
+        for op, key in ops:
+            if op == "i":
+                ins(key)
+            else:
+                de(key)
+
     rows, shapes = [], {}
-    means = {}
-    per_variant = []
     for vs in variants:
-        sink = MetricsSink()
-        durations = []
-        final = None
-        for _ in range(REPLAY_REPS):
-            t = vs.make_tree(sink=sink)
-            sink.reset()
-            t0 = time.perf_counter_ns()
-            ins, de = t.insert, t.delete
-            for op, key in seq.ops:
-                if op == "i":
-                    ins(key)
-                else:
-                    de(key)
-            durations.append(time.perf_counter_ns() - t0)
-            final = t
-        _audit_cell(vs, final, spec, "replay")
-        mean, std = summarize_ns(durations, n_ops)
-        means[vs.label] = mean
-        per_variant.append((vs, mean, std, sink, final))
-        shapes[(0, 0, vs.label)] = tree_shape(final)
-    base_mean = means[f"{_REPLAY_BASELINE[0]}/{_REPLAY_BASELINE[1]}"]
-    for vs, mean, std, sink, final in per_variant:
-        viol = count_violations(final) if vs.scheme != "redblack" else -1
-        rows.append(_fill(
-            spec, vs, 0, op="replay", rep=REPLAY_REPS, op_index=-1,
-            ops=len(seq), elapsed_ns=mean, elapsed_ns_std=std,
-            rotation_count=sink.rotation_count,
-            rotated_weight_total=sink.rotated_weight_total,
-            violation_count=viol, avg_depth=average_depth(final),
-            normalized_elapsed=(mean / base_mean if base_mean > 0 else -1.0)))
+        row, shapes[(0, 0, vs.label)] = _timed_cell(
+            spec, vs, 0, vs.make_tree(), "replay", len(ops), phase, "replay")
+        rows.append(row)
+    base_mean = next(r.elapsed_ns for r in rows
+                     if (r.variant, r.params) == _REPLAY_BASELINE)
+    for r in rows:
+        r.normalized_elapsed = (r.elapsed_ns / base_mean if base_mean > 0
+                                else -1.0)
     return RunResult(rows, shapes)
 
 
@@ -515,8 +467,7 @@ def emit_results(rows: list[MetricsRecord], fmt: str, path: str | None):
     if fmt == "csv":
         w = csv.writer(out, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow(r.to_row())
+        w.writerows(r.to_row() for r in rows)
     else:
         for r in rows:
             out.write(json.dumps(

@@ -54,6 +54,14 @@ class BottomUpTree(Tree):
                 break
             v = v.left if key < k else v.right
         if v is nil:
+            sink = self.sink
+            if sink is not None:
+                # Book the nodes the search visited; walking the path again
+                # keeps a miss without a sink free of per-level counting.
+                v = self.root
+                while v is not nil:
+                    sink.touch_count += 1
+                    v = v.left if key < v.key else v.right
             return False
 
         touches = 1

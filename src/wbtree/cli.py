@@ -15,10 +15,10 @@ from .bench import (
     EXPERIMENTS,
     AuditFailure,
     ExperimentSpec,
-    OpSequence,
     RUNNERS,
     emit_results,
     expand_variants,
+    parse_ops,
     run_replay,
 )
 
@@ -133,11 +133,11 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 3
             try:
-                seq = OpSequence.parse(text)
+                ops = parse_ops(text)
             except ValueError as e:
                 print(f"wbtree-bench: {args.sequence}: {e}", file=sys.stderr)
                 return 3
-            result = run_replay(spec, seq)
+            result = run_replay(spec, ops)
         else:
             result = RUNNERS[args.experiment](spec)
     except AuditFailure as e:

@@ -8,7 +8,7 @@ intervals instead of maintaining it incrementally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import astuple, dataclass, fields
 
 from .core import NIL, Tree
 
@@ -37,18 +37,10 @@ class MetricsSink:
         self.touch_count = 0
 
 
-# Fixed CSV column order; every row carries its full configuration.
-CSV_COLUMNS = [
-    "experiment", "variant", "params", "dist", "universe", "zipf_s",
-    "base_size", "op", "rep", "seed", "op_index", "ops",
-    "elapsed_ns", "elapsed_ns_std", "rotation_count", "rotated_weight_total",
-    "violation_count", "avg_depth", "normalized_elapsed",
-]
-
-
 @dataclass
 class MetricsRecord:
-    """One result row. Fields not meaningful for an experiment stay empty."""
+    """One result row; its field order is the CSV column order. Fields not
+    meaningful for an experiment stay empty."""
 
     experiment: str
     variant: str
@@ -71,8 +63,11 @@ class MetricsRecord:
     normalized_elapsed: float = -1.0
 
     def to_row(self) -> list[str]:
-        d = asdict(self)
-        return [str(d[c]) for c in CSV_COLUMNS]
+        return [str(v) for v in astuple(self)]
+
+
+# Fixed CSV column order; every row carries its full configuration.
+CSV_COLUMNS = [f.name for f in fields(MetricsRecord)]
 
 
 def count_violations(tree: Tree, params=None) -> int:

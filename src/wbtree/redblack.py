@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import structure_string
-
 RED = True
 BLACK = False
 
@@ -304,41 +302,6 @@ class RedBlackTree:
             out.append(v.key)
             v = v.right
         return out
-
-    def dump(self) -> str:
-        """Same two-line format as the weight-balanced dump; weights are
-        computed on the fly since nodes do not store them."""
-        nil = self.nil
-        weights: dict[int, int] = {}
-        order: list[RbNode] = []
-        stack = [(self.root, False)] if self.root is not nil else []
-        while stack:
-            v, expanded = stack.pop()
-            if not expanded:
-                stack.append((v, True))
-                if v.left is not nil:
-                    stack.append((v.left, False))
-                if v.right is not nil:
-                    stack.append((v.right, False))
-                continue
-            w = 2
-            if v.left is not nil:
-                w += weights[id(v.left)] - 1
-            if v.right is not nil:
-                w += weights[id(v.right)] - 1
-            weights[id(v)] = w
-
-        v = self.root
-        walk = []
-        while walk or v is not nil:
-            while v is not nil:
-                walk.append(v)
-                v = v.left
-            v = walk.pop()
-            order.append(v)
-            v = v.right
-        pairs = " ".join(f"{n.key}:{weights[id(n)]}" for n in order)
-        return pairs + "\n" + structure_string(self)
 
 
 def audit(tree: RedBlackTree) -> list[str]:

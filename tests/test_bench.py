@@ -13,11 +13,11 @@ from wbtree import bench
 from wbtree.bench import (
     EXPERIMENTS,
     ExperimentSpec,
-    OpSequence,
     RUNNERS,
     VariantSpec,
     emit_results,
     expand_variants,
+    parse_ops,
     run_depth_churn,
     run_erase_pct,
     run_insert_pct,
@@ -251,30 +251,28 @@ i 7
 
 
 def test_op_sequence_parse_round_trip():
-    seq = OpSequence.parse(SEQ_TEXT)
-    assert seq.ops == [("i", 5), ("i", 3), ("i", 9), ("d", 3), ("i", 7)]
-    assert len(seq) == 5
-    assert OpSequence.parse(seq.dump()) == seq
+    ops = parse_ops(SEQ_TEXT)
+    assert ops == [("i", 5), ("i", 3), ("i", 9), ("d", 3), ("i", 7)]
 
 
 def test_op_sequence_parse_errors():
     with pytest.raises(ValueError, match="line 1: expected"):
-        OpSequence.parse("insert 5\n")
+        parse_ops("insert 5\n")
     with pytest.raises(ValueError, match="line 1: expected"):
-        OpSequence.parse("i\n")
+        parse_ops("i\n")
     with pytest.raises(ValueError, match=r"line 4: bad key 'q'"):
-        OpSequence.parse("# c\n\ni 5\nd q\n")
+        parse_ops("# c\n\ni 5\nd q\n")
 
 
 def test_replay_adds_baseline_and_normalizes():
     ops = [("i", k) for k in range(30)] + [("d", k) for k in range(0, 30, 3)]
     spec = tiny_spec("replay", expand_variants(["top_down"], ["integral"]))
-    res = run_replay(spec, OpSequence(ops))
+    res = run_replay(spec, ops)
     labels = {(r.variant, r.params) for r in res.rows}
     assert labels == {("bottom_up", "classic"), ("top_down", "integral")}
     for r in res.rows:
         assert r.op == "replay" and r.ops == len(ops)
-        assert r.rep == bench.REPLAY_REPS
+        assert r.rep == 1  # time_floor_ms=0: one rep
         if (r.variant, r.params) == ("bottom_up", "classic"):
             assert r.normalized_elapsed == 1.0
         else:
@@ -285,7 +283,7 @@ def test_replay_adds_baseline_and_normalizes():
 
 def test_replay_keeps_explicit_baseline():
     spec = tiny_spec("replay", expand_variants(["bottom_up"], ["classic"]))
-    res = run_replay(spec, OpSequence([("i", 1), ("i", 2), ("d", 1)]))
+    res = run_replay(spec, [("i", 1), ("i", 2), ("d", 1)])
     assert len(res.rows) == 1
     assert res.rows[0].normalized_elapsed == 1.0
 

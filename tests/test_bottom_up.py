@@ -57,6 +57,19 @@ def test_delete_leaf_and_missing():
     assert len(t) == 2
 
 
+def test_delete_of_absent_key_books_its_search_path():
+    sink = MetricsSink()
+    t = grown(range(0, 2000, 2), sink=sink)
+    path = 0
+    v = t.root
+    while v is not NIL:
+        path += 1
+        v = v.left if 777 < v.key else v.right
+    before = sink.touch_count
+    assert t.delete(777) is False
+    assert sink.touch_count - before == path > 0
+
+
 def test_delete_one_child_node():
     t = grown([2, 1, 3, 4])
     assert t.delete(3) is True

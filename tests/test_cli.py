@@ -70,6 +70,20 @@ def test_bad_spec_value_exit_one(capsys):
     assert "base-trees" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["insert-pct", "--universe", "0"],
+    ["insert-pct", "--dist", "zipf", "--zipf-s", "0"],
+    ["insert-pct", "--dist", "zipf", "--zipf-s", "nan"],
+    ["insert-pct", "--dist", "skewed", "--universe", "5"],
+    ["violations", "--op-pairs", "-3"],
+])
+def test_out_of_range_values_exit_one(argv, capsys):
+    code, _, err = run(argv + TINY, capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("wbtree-bench: error:")
+
+
 def test_custom_params_accepted(capsys):
     code, out, _ = run(
         ["insert-pct"] + TINY[:-1] + ["custom:5/2:7/5"], capsys)

@@ -1,5 +1,6 @@
 from hypothesis import given, strategies as st
 
+from wbtree.core import structure_string
 from wbtree.metrics import MetricsSink
 from wbtree.oracle import SortedMultisetOracle
 from wbtree.redblack import BLACK, RED, RedBlackTree, audit
@@ -69,7 +70,7 @@ def test_search_miss_and_hit():
 def test_clone_preserves_colors_and_shape():
     t = grown(range(40))
     c = t.clone()
-    assert c.dump() == t.dump()
+    assert structure_string(c) == structure_string(t)
     assert audit(c) == []
     originals = list(zip(t.inorder_keys(), [n.red for n in _nodes_inorder(t)]))
     copies = list(zip(c.inorder_keys(), [n.red for n in _nodes_inorder(c)]))
@@ -90,11 +91,6 @@ def _nodes_inorder(t):
         out.append(v)
         v = v.right
     return out
-
-
-def test_dump_matches_weight_convention():
-    t = grown([2, 1, 3])
-    assert t.dump() == "1:2 2:4 3:2\n(2 (1 . .) (3 . .))"
 
 
 def test_sink_counts_rotations():
