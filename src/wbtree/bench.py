@@ -8,15 +8,23 @@ every variant sees the same keys, the same victims, and the same churn
 order; two runs with the same seed produce the same tree shapes.
 
 Timed phases repeat on a fresh clone of the base snapshot until the time
-floor is met, and report the per-op mean and standard deviation across
-repetitions. Cells always run sequentially in a fixed order: rows are
-deterministic, and one interpreter lock means thread workers would only
-add timing noise.
+floor is met or MAX_REPS have run, and report the per-op mean and standard
+deviation across repetitions. Cells always run sequentially in a fixed
+order: rows are deterministic, and one interpreter lock means thread
+workers would only add timing noise.
+
+A cell (one variant, size and base tree: build, clones, timed phase,
+audit, scans and shape) runs with the automatic cyclic collector off.
+Trees are cyclic through their parent pointers, so only the collector
+frees them; left on, it would rescan every live tree hundreds of times per
+cell. Instead each dead clone is collected as the next rep starts, and one
+collection at the cell's end frees the rest of its trees.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import gc
 import io
 import json
@@ -58,6 +66,10 @@ SCHEMES = ("bottom_up", "top_down", "redblack")
 # Default key universes per distribution; presorted always uses n.
 ZIPF_UNIVERSE = 10 ** 6
 WIDE_UNIVERSE = 2 ** 60
+
+# Most reps of one timed phase, whatever the floor: a phase of a few ops
+# (an empty replay, one insert) would otherwise take millions to fill it.
+MAX_REPS = 10_000
 
 
 class AuditFailure(RuntimeError):
@@ -200,27 +212,48 @@ def _audit_cell(vs: VariantSpec, tree, spec: ExperimentSpec, where: str):
         raise AuditFailure(f"{vs.label} {where}: " + "; ".join(problems[:4]))
 
 
+def _gc_quiet(cell):
+    """Run a harness cell with the automatic collector off, then collect
+    once to free its trees; the collector's state is restored however the
+    cell exits."""
+    @functools.wraps(cell)
+    def quiet(*args):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = cell(*args)
+            # The cell's frame is gone, so its trees are unreachable cycles.
+            # Its objects are young: the collector was off, and only
+            # _timed_reps' generation-0 collections ran, which move
+            # survivors to generation 1. So collecting generation 1 frees
+            # them all without scanning the caller's older heap.
+            gc.collect(1)
+            return out
+        finally:
+            if was_enabled:
+                gc.enable()
+    return quiet
+
+
 def _timed_reps(spec: ExperimentSpec, base_tree, phase):
-    """Clone, run phase, repeat until the floor. Returns (durations ns,
-    sink state of the last rep, last rep's tree)."""
+    """Clone, run phase, repeat until the floor or MAX_REPS. Returns
+    (durations ns, sink state of the last rep, last rep's tree)."""
     floor = spec.time_floor_ms * 1_000_000
     sink = MetricsSink()
     durations: list[int] = []
     spent = 0
-    was_enabled = gc.isenabled()
-    while not durations or spent < floor:
+    while not durations or (spent < floor and len(durations) < MAX_REPS):
+        if durations:
+            # The last rep's clone is garbage, and it is young: it was
+            # allocated with the collector off, so it is all in generation 0.
+            del t
+            gc.collect(0)
         t = base_tree.clone()
         t.sink = sink
         sink.reset()
-        # Dead clones are cyclic (parent pointers), so the collector has
-        # real work here; keep its pauses out of the timed window. It
-        # catches up during the next clone.
-        gc.disable()
         t0 = time.perf_counter_ns()
         phase(t)
         dt = time.perf_counter_ns() - t0
-        if was_enabled:
-            gc.enable()
         durations.append(dt)
         spent += dt
     return durations, sink, t
@@ -251,11 +284,12 @@ def _violations(vs: VariantSpec, tree) -> int:
     return count_violations(tree) if vs.scheme != "redblack" else -1
 
 
-def _timed_cell(spec: ExperimentSpec, vs: VariantSpec, size: int, base,
+@_gc_quiet
+def _timed_cell(spec: ExperimentSpec, vs: VariantSpec, size: int, keys,
                 op: str, n_ops: int, phase, where: str):
-    """Time phase on clones of base to the floor; audit, summarize and scan
-    the last rep's tree. Returns its row and its shape."""
-    durations, sink, final = _timed_reps(spec, base, phase)
+    """Build vs on keys and time phase on clones of it to the floor; audit,
+    summarize and scan the last rep's tree. Returns its row and its shape."""
+    durations, sink, final = _timed_reps(spec, _build(vs, keys), phase)
     _audit_cell(vs, final, spec, where)
     mean, std = summarize_ns(durations, n_ops)
     row = _fill(
@@ -286,7 +320,7 @@ def _pct_rows(spec: ExperimentSpec, op: str, draw) -> RunResult:
 
             for vs in spec.variants:
                 row, shapes[(size, ti, vs.label)] = _timed_cell(
-                    spec, vs, size, _build(vs, keys), op, m, phase,
+                    spec, vs, size, keys, op, m, phase,
                     f"{spec.experiment} n={size} tree={ti}")
                 rows.append(row)
     return RunResult(rows, shapes)
@@ -325,7 +359,9 @@ def run_depth_churn(spec: ExperimentSpec) -> RunResult:
             repl = fresh_keys(spec.dist, size, spec.universe_for(size),
                               derive_seed(spec.seed, size, ti, STREAM_CHURN),
                               spec.zipf_s)
-            for vs in spec.variants:
+
+            @_gc_quiet
+            def cell(vs):
                 t = _build(vs, keys)
                 sink = MetricsSink()
                 t.sink = sink
@@ -336,14 +372,18 @@ def run_depth_churn(spec: ExperimentSpec) -> RunResult:
                     ins(new)
                 dt = time.perf_counter_ns() - t0
                 _audit_cell(vs, t, spec, f"depth-churn n={size} tree={ti}")
-                rows.append(_fill(
+                row = _fill(
                     spec, vs, size, op="churn", rep=1, op_index=-1, ops=size,
                     elapsed_ns=dt / size, elapsed_ns_std=0.0,
                     rotation_count=sink.rotation_count,
                     rotated_weight_total=sink.rotated_weight_total,
                     violation_count=_violations(vs, t),
-                    avg_depth=average_depth(t)))
-                shapes[(size, ti, vs.label)] = tree_shape(t)
+                    avg_depth=average_depth(t))
+                return row, tree_shape(t)
+
+            for vs in spec.variants:
+                row, shapes[(size, ti, vs.label)] = cell(vs)
+                rows.append(row)
     return RunResult(rows, shapes)
 
 
@@ -364,13 +404,16 @@ def _churn_rows(spec: ExperimentSpec, want_violations: bool) -> RunResult:
                               derive_seed(spec.seed, size, ti, STREAM_CHURN),
                               spec.zipf_s)
             vic_seed = derive_seed(spec.seed, size, ti, STREAM_VICTIM)
-            for vs in spec.variants:
+
+            @_gc_quiet
+            def cell(vs):
                 t = _build(vs, keys)
                 sink = MetricsSink()
                 t.sink = sink
                 rng = SplitMix64(vic_seed)
                 contents = list(keys)
                 ins, de = t.insert, t.delete
+                samples = []
                 done = 0
                 while done < pairs:
                     stop = min(done + spec.sample_interval, pairs)
@@ -380,7 +423,7 @@ def _churn_rows(spec: ExperimentSpec, want_violations: bool) -> RunResult:
                         ins(k)
                         contents.append(k)
                     done = stop
-                    rows.append(_fill(
+                    samples.append(_fill(
                         spec, vs, size, op="pair", rep=1, op_index=done,
                         ops=pairs,
                         violation_count=(_violations(vs, t)
@@ -389,7 +432,11 @@ def _churn_rows(spec: ExperimentSpec, want_violations: bool) -> RunResult:
                         rotated_weight_total=sink.rotated_weight_total))
                 _audit_cell(vs, t, spec,
                             f"{spec.experiment} n={size} tree={ti}")
-                shapes[(size, ti, vs.label)] = tree_shape(t)
+                return samples, tree_shape(t)
+
+            for vs in spec.variants:
+                samples, shapes[(size, ti, vs.label)] = cell(vs)
+                rows.extend(samples)
     return RunResult(rows, shapes)
 
 
@@ -449,7 +496,7 @@ def run_replay(spec: ExperimentSpec, ops: list[tuple[str, int]]) -> RunResult:
     rows, shapes = [], {}
     for vs in variants:
         row, shapes[(0, 0, vs.label)] = _timed_cell(
-            spec, vs, 0, vs.make_tree(), "replay", len(ops), phase, "replay")
+            spec, vs, 0, [], "replay", len(ops), phase, "replay")
         rows.append(row)
     base_mean = next(r.elapsed_ns for r in rows
                      if (r.variant, r.params) == _REPLAY_BASELINE)

@@ -1,7 +1,7 @@
 """wbtree-bench: command-line front end for the experiment harness.
 
 Exit codes: 0 success, 1 usage error, 2 audit failure, 3 I/O or replay
-parse error.
+parse error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -100,7 +100,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
+    try:
+        return _run(args)
+    except Exception as e:
+        # A defect, not an input problem: one line and its own exit code.
+        print(f"wbtree-bench: internal error: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 4
 
+
+def _run(args) -> int:
+    """Build the spec, run the experiment and emit its rows; returns the
+    exit code."""
     try:
         seed = _resolve_seed(args.seed)
         variants = expand_variants(args.variants, args.params)

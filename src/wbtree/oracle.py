@@ -10,10 +10,10 @@ traversal or predicate code with the implementations it judges:
 * audit_structure — recounts every subtree from scratch and checks stored
   weights, parent links, key ordering, and the cached size.
 * audit_balance — recomputes true subtree weights, then applies the
-  balance inequalities in exact arithmetic: Fraction for rational
-  parameters, integer algebra for the 1+sqrt(2) set (squaring the
-  sqrt(2) side, which is safe because equality would make sqrt(2)
-  rational), and exact Fraction-of-float for any other real parameters.
+  balance inequalities in exact integer arithmetic: with delta = n/m
+  exactly (a float's exact value for real parameters), wl*n >= wr*m and
+  wr*n >= wl*m; the 1+sqrt(2) set squares the sqrt(2) side instead,
+  which is safe because equality would make sqrt(2) rational.
 
 Balance auditing is for the weight-balanced trees; the red-black tree has
 its own property audit next to its implementation.
@@ -22,7 +22,6 @@ its own property audit next to its implementation.
 from __future__ import annotations
 
 import bisect
-from fractions import Fraction
 
 from .params import PARAM_SETS, BalanceParams, Mode
 
@@ -133,14 +132,8 @@ def audit_structure(tree) -> list[str]:
 
 def exact_balance_predicate(params: BalanceParams):
     """(wl, wr) -> bool in exact arithmetic; see the module docstring."""
-    if params.mode is Mode.RATIONAL:
-        d = Fraction(params.dn, params.dd)
-
-        def ok(wl: int, wr: int) -> bool:
-            return wl * d >= wr and wr * d >= wl
-
-        return ok
-    if params.delta == PARAM_SETS["classic"].delta:
+    if (params.mode is Mode.REAL
+            and params.delta == PARAM_SETS["classic"].delta):
 
         def ok(wl: int, wr: int) -> bool:
             # wl*(1+sqrt 2) >= wr  <=>  wr - wl <= wl*sqrt 2; square the
@@ -152,10 +145,11 @@ def exact_balance_predicate(params: BalanceParams):
             return not (t > 0 and t * t > 2 * wr * wr)
 
         return ok
-    d = Fraction(params.delta)  # exact value of the float
+    # delta = n/m exactly, for a Fraction and for the value of a float alike.
+    n, m = params.delta.as_integer_ratio()
 
     def ok(wl: int, wr: int) -> bool:
-        return wl * d >= wr and wr * d >= wl
+        return wl * n >= wr * m and wr * n >= wl * m
 
     return ok
 

@@ -2,6 +2,7 @@
 experiment drivers at toy sizes, replay, and result emission."""
 
 import csv
+import gc
 import json
 import re
 import sys
@@ -27,10 +28,11 @@ from wbtree.bench import (
     tree_shape,
 )
 from wbtree.bottom_up import BottomUpTree
+from wbtree.core import Node
 from wbtree.keygen import STREAM_BASE, derive_seed, generate
 from wbtree.metrics import CSV_COLUMNS
 from wbtree.params import PARAM_SETS, params_from_name
-from wbtree.redblack import RedBlackTree
+from wbtree.redblack import RbNode, RedBlackTree
 
 
 def keys_of(shape: str) -> list[int]:
@@ -163,6 +165,22 @@ def test_insert_pct_rows():
     for (size, ti, label), shape in res.shapes.items():
         assert size == 40 and ti in (0, 1)
         assert len(keys_of(shape)) == 42
+
+
+def test_timed_cells_leave_no_trees_behind():
+    # Several reps per cell, each on a fresh clone; the run must free every
+    # clone and base tree it made, not leave them for a later collection.
+    def live_nodes():
+        return sum(1 for o in gc.get_objects() if type(o) in (Node, RbNode))
+
+    gc.collect()
+    before = live_nodes()
+    spec = tiny_spec("insert-pct", expand_variants(
+        ["bottom_up", "top_down", "redblack"], ["integral"]),
+        sizes=[2000], base_trees=2, time_floor_ms=50)
+    res = run_insert_pct(spec)
+    assert all(r.rep > 1 for r in res.rows)
+    assert live_nodes() == before
 
 
 def test_erase_pct_shares_victims():

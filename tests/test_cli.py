@@ -1,13 +1,17 @@
 """Command-line behaviour: argument handling, seeds, exit codes, output
 targets. Everything drives main() in-process with tiny workloads."""
 
+import gc
 import json
+import time
 
 import pytest
 
 from wbtree import bench
 from wbtree.bench import AuditFailure
 from wbtree.cli import main
+
+from test_top_down import Fuse
 
 TINY = ["--sizes", "24", "--base-trees", "1", "--time-floor-ms", "0",
         "--variants", "bottom_up", "--params", "integral"]
@@ -132,6 +136,65 @@ def test_audit_failure_exit_two(capsys, monkeypatch):
     code, _, err = run(["insert-pct"] + TINY + ["--audit"], capsys)
     assert code == 2
     assert "audit failure" in err
+
+
+def test_internal_error_exit_four(capsys, monkeypatch):
+    def boom(spec):
+        raise RuntimeError("lost a node")
+    monkeypatch.setitem(bench.RUNNERS, "insert-pct", boom)
+    code, _, err = run(["insert-pct"] + TINY, capsys)
+    assert code == 4
+    assert err == "wbtree-bench: internal error: RuntimeError: lost a node\n"
+    assert "Traceback" not in err
+
+
+def _raising_phase(capsys, monkeypatch):
+    spec = bench.ExperimentSpec(
+        experiment="replay", variants=bench.expand_variants(["top_down"],
+                                                            ["integral"]),
+        time_floor_ms=0)
+    with pytest.raises(RuntimeError, match="comparison failed"):
+        bench.run_replay(spec, [("i", 1), ("i", Fuse(2, 0))])
+
+
+def _audit_failure(capsys, monkeypatch):
+    monkeypatch.setattr(bench, "audit_structure", lambda tree: ["bad"])
+    code, _, err = run(["insert-pct"] + TINY + ["--audit"], capsys)
+    assert code == 2
+    assert "audit failure" in err
+
+
+def _clean_run(capsys, monkeypatch):
+    code, _, _ = run(["depth-churn"] + TINY, capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("body", [_raising_phase, _audit_failure, _clean_run])
+def test_collector_state_is_restored(body, enabled, capsys, monkeypatch):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        body(capsys, monkeypatch)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_near_empty_phases_stop_at_the_rep_cap(tmp_path, capsys):
+    # At the default 1000 ms floor a phase of a few ops would run for
+    # millions of reps; the cap bounds the cell instead.
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    for argv in (["replay", str(empty)],
+                 ["insert-pct", "--sizes", "1", "--base-trees", "1",
+                  "--variants", "top_down", "--params", "topdown"]):
+        t0 = time.perf_counter()
+        code, out, err = run(argv + ["--format", "jsonl"], capsys)
+        assert time.perf_counter() - t0 < 2.0, argv
+        assert code == 0, err
+        for line in out.splitlines():
+            assert 1 <= json.loads(line)["rep"] <= bench.MAX_REPS
 
 
 def test_audit_flag_clean_run(capsys):

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wbtree import oracle
 from wbtree.bottom_up import BottomUpTree
 from wbtree.oracle import (
     SortedMultisetOracle,
@@ -13,7 +15,7 @@ from wbtree.oracle import (
     equivalence_check,
     exact_balance_predicate,
 )
-from wbtree.params import PARAM_SETS, make_params
+from wbtree.params import PARAM_SETS, make_params, params_from_name
 from wbtree.top_down import TopDownTree
 
 from test_core import tree_of
@@ -103,13 +105,15 @@ def test_exact_predicate_classic_integer_algebra():
     assert ok(1, 1)
 
 
+# 1 + sqrt 2 to 50 digits, more than enough to separate any ratio of
+# integers below 10^20 from the irrational boundary.
+CLASSIC_DELTA = Fraction("2.41421356237309504880168872420969807856967187537694")
+
+
 @given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
 def test_exact_predicate_classic_matches_high_precision(wl, wr):
     ok = exact_balance_predicate(PARAM_SETS["classic"])
-    # 1 + sqrt 2 to 50 digits, more than enough to separate any integer
-    # ratio below 10^6 from the irrational boundary
-    delta = Fraction("2.41421356237309504880168872420969807856967187537694")
-    want = wl * delta >= wr and wr * delta >= wl
+    want = wl * CLASSIC_DELTA >= wr and wr * CLASSIC_DELTA >= wl
     assert ok(wl, wr) == want
 
 
@@ -117,6 +121,55 @@ def test_exact_predicate_generic_real_uses_float_value():
     ok = exact_balance_predicate(make_params(2.5, 1.5))
     assert ok(2, 5)
     assert not ok(2, 6)
+
+
+def delta_fraction(params) -> Fraction:
+    """delta's exact value, or 1 + sqrt 2 to 50 digits for the classic set."""
+    if params == PARAM_SETS["classic"]:
+        return CLASSIC_DELTA
+    return Fraction(params.delta)
+
+
+def fraction_predicate(params):
+    """The balance definition, with delta a Fraction."""
+    d = delta_fraction(params)
+    return lambda wl, wr: wl * d >= wr and wr * d >= wl
+
+
+@pytest.mark.parametrize("params", [
+    *PARAM_SETS.values(), params_from_name("custom:7/3:5/4"),
+    make_params(2.5, 1.5)], ids=[*PARAM_SETS, "custom", "real"])
+def test_exact_predicate_matches_fraction_definition(params):
+    ok = exact_balance_predicate(params)
+    want = fraction_predicate(params)
+    d = delta_fraction(params)
+    pairs = [(a, b) for a in range(1, 201) for b in range(1, 201)]
+    rng = random.Random(5)
+    ws = [*range(1, 1001), *(10 ** k for k in range(3, 10)),
+          *(rng.randrange(1, 10 ** 9 + 1) for _ in range(1000))]
+    for w in ws:
+        edge = w * d.numerator // d.denominator  # floor(w * d)
+        for v in (edge, edge + 1):
+            pairs += [(w, v), (v, w)]
+    assert [p for p in pairs if ok(*p) != want(*p)] == []
+
+
+@pytest.mark.parametrize("cls", [TopDownTree, BottomUpTree])
+@pytest.mark.parametrize("name", ["tight", "overtight"])
+def test_audit_balance_matches_fraction_audit_after_churn(name, cls,
+                                                          monkeypatch):
+    rng = random.Random(3)
+    keys = [rng.randrange(10 ** 6) for _ in range(2000)]
+    t = cls(PARAM_SETS[name])
+    for k in keys:
+        t.insert(k)
+    for k in keys:
+        t.delete(k)
+        t.insert(rng.randrange(10 ** 6))
+    got = audit_balance(t)
+    monkeypatch.setattr(oracle, "exact_balance_predicate", fraction_predicate)
+    want = audit_balance(t)
+    assert want and got == want
 
 
 def test_equivalence_check_reports_divergence_rank():
