@@ -1,16 +1,19 @@
 """Two-pass weight-balanced tree: plain BST edit, then repair on the way up.
 
 The downward pass finds the edit point exactly as an unbalanced BST would.
-The upward pass walks the ancestor chain from the edit point to the root,
-refreshing each node's weight from its children and repairing any overhang
-with a single or double rotation chosen by the gamma test. Every ancestor is
-re-checked; deletions can push imbalance arbitrarily far up, so there is no
-early exit.
+A delete then unlinks its node with one of core's link edits: splice_out
+for a node with at most one child, relink_predecessor for one with two.
+Both return the lowest node that lost a descendant, where the upward pass
+starts. That pass walks the ancestor chain to the root, refreshing each
+node's weight from its children and repairing any overhang with a single
+or double rotation chosen by the gamma test. Every ancestor is re-checked;
+deletions can push imbalance arbitrarily far up, so there is no early exit.
 """
 
 from __future__ import annotations
 
-from .core import NIL, Node, Tree, rotate_left, rotate_right, subtree_maximum
+from .core import (NIL, Node, Tree, relink_predecessor, rotate_left,
+                   rotate_right, splice_out, subtree_maximum)
 
 
 class BottomUpTree(Tree):
@@ -67,68 +70,17 @@ class BottomUpTree(Tree):
         touches = 1
         if v.left is not nil and v.right is not nil:
             # Relink the predecessor (max of the left subtree) into v's
-            # position, then splice v out from where the predecessor was.
-            # Node identity moves; keys are never copied between nodes.
-            pred = subtree_maximum(v.left)
+            # position; the upward pass refreshes the weights it left stale.
+            low = relink_predecessor(self, v, subtree_maximum(v.left))
             touches += 2
-            self._swap_with_predecessor(v, pred)
-
-        # v now has at most one real child.
-        c = v.left if v.left is not nil else v.right
-        p = v.parent
-        c.parent = p
-        if p is nil:
-            self.root = c if c is not nil else nil
-        elif p.left is v:
-            p.left = c
         else:
-            p.right = c
+            low = splice_out(self, v)
         self.size -= 1
-        if p is not nil:
-            touches += self._repair_upward(p)
+        touches += self._repair_upward(low)
         sink = self.sink
         if sink is not None:
             sink.touch_count += touches
         return True
-
-    def _swap_with_predecessor(self, v: Node, pred: Node):
-        # Exchange tree positions of v and pred, where pred is the rightmost
-        # node of v's left subtree. Weights go stale here; the upward repair
-        # pass refreshes every node on the affected chain.
-        nil = NIL
-        g = v.parent
-        if pred.parent is v:
-            # pred is v's direct left child; v drops into pred's old spot.
-            pl = pred.left
-            pred.right = v.right
-            v.right.parent = pred
-            pred.left = v
-            v.parent = pred
-            v.left = pl
-            pl.parent = v
-            v.right = nil
-        else:
-            pp = pred.parent
-            pl = pred.left
-            pred.left = v.left
-            v.left.parent = pred
-            pred.right = v.right
-            v.right.parent = pred
-            pp.right = v
-            v.parent = pp
-            v.left = pl
-            pl.parent = v
-            v.right = nil
-        pred.parent = g
-        if g is nil:
-            self.root = pred
-        elif g.left is v:
-            g.left = pred
-        else:
-            g.right = pred
-        w = pred.weight
-        pred.weight = v.weight
-        v.weight = w
 
     def _repair_upward(self, start: Node) -> int:
         """Refresh weights and fix overhangs from start to the root."""
@@ -151,12 +103,17 @@ class BottomUpTree(Tree):
                 # Right side too heavy; raise it. The gamma test compares the
                 # heavy child's inner grandchild against the outer one; a tie
                 # goes to the double rotation — with integral parameters a
-                # tied single can leave the raised child unbalanced.
-                if r.left.weight * gd >= r.right.weight * gn:
+                # tied single can leave the raised child unbalanced. An
+                # empty inner grandchild cannot rise: under gamma = 1 it
+                # ties a leaf's empty outer one, and turning it would
+                # rotate the shared sentinel.
+                m = r.left
+                if m is not nil and m.weight * gd >= r.right.weight * gn:
                     rotate_right(self, r)
                 rotate_left(self, v)
             elif wr * dn < wl * dd:
-                if l.right.weight * gd >= l.left.weight * gn:
+                m = l.right
+                if m is not nil and m.weight * gd >= l.left.weight * gn:
                     rotate_left(self, l)
                 rotate_right(self, v)
             v = parent

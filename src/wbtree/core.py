@@ -5,12 +5,12 @@ plus one. An empty subtree has weight 1, a leaf has weight 2, and
 weight(v) = weight(left(v)) + weight(right(v)) holds at every node.
 
 Empty children are the shared NIL sentinel, which carries weight 1 so weight
-reads never branch. NIL's parent field is scratch space; rotations may write
-it and nothing ever reads it. Trees are multisets: insertion sends equal
-keys left, but a rotation can later carry an equal key into a right
-subtree, so the maintained invariant is the weaker one — the in-order key
-sequence is non-decreasing (search still works: every run of equal keys is
-reachable by the usual three-way descent). Single-writer only; nothing
+reads never branch. NIL's parent field is scratch space; rotations and link
+edits may write it and nothing ever reads it. Trees are multisets: insertion
+sends equal keys left, but a rotation can later carry an equal key into a
+right subtree, so the maintained invariant is the weaker one — the in-order
+key sequence is non-decreasing (search still works: every run of equal keys
+is reachable by the usual three-way descent). Single-writer only; nothing
 here is safe for concurrent mutation.
 """
 
@@ -131,6 +131,52 @@ def subtree_maximum(v: Node) -> Node:
     while v.right is not NIL:
         v = v.right
     return v
+
+
+def splice_out(tree: Tree, v: Node) -> Node:
+    """Unlink v, which has at most one real child, lifting that child into
+    v's slot. Edits links only; returns v's old parent (NIL for the root),
+    the lowest node that lost a descendant."""
+    c = v.left if v.left is not NIL else v.right
+    p = v.parent
+    c.parent = p
+    if p is NIL:
+        tree.root = c
+    elif p.left is v:
+        p.left = c
+    else:
+        p.right = c
+    return p
+
+
+def relink_predecessor(tree: Tree, v: Node, u: Node) -> Node:
+    """Move u, the rightmost node of v's left subtree, into v's position.
+
+    u's left child takes u's old slot, and u adopts v's subtrees (keeping
+    its own left one when u is v.left). Edits links only; returns the
+    lowest node that lost a descendant: u's old parent, or u itself when
+    u was v.left.
+    """
+    p = u.parent
+    if p is v:
+        p = u
+    else:
+        lu = u.left
+        p.right = lu
+        lu.parent = p
+        u.left = v.left
+        v.left.parent = u
+    u.right = v.right
+    v.right.parent = u
+    g = v.parent
+    u.parent = g
+    if g is NIL:
+        tree.root = u
+    elif g.left is v:
+        g.left = u
+    else:
+        g.right = u
+    return p
 
 
 def rotate_left(tree: Tree, v: Node) -> Node:

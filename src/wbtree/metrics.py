@@ -70,11 +70,10 @@ class MetricsRecord:
 CSV_COLUMNS = [f.name for f in fields(MetricsRecord)]
 
 
-def count_violations(tree: Tree, params=None) -> int:
-    """Number of nodes violating the balance inequalities. Full traversal."""
-    p = params if params is not None else tree.params
-    dn = p.dn
-    dd = p.dd
+def count_violations(tree: Tree) -> int:
+    """Nodes violating the tree's own balance inequalities. Full traversal."""
+    dn = tree.params.dn
+    dd = tree.params.dd
     root = tree.root
     if root is NIL:
         return 0

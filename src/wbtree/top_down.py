@@ -21,23 +21,24 @@ pairs. The empty-slot case can only arise on the branch where the key heads
 for the inner grandchild: a nil inner can never win the gamma test on the
 outer branch, since that would need gamma < 1/2.
 
-Deletion mirrors this with decrements: weights drop on arrival, and the
-repair check anticipates the side about to shrink (child weight minus one
-against delta times the other side). The heavy child in a deletion repair is
-always on the side the descent is not taking, so its grandchild weights feed
-the gamma test unadjusted. A two-child delete relinks the in-order
-predecessor into the doomed node's place during the same downward pass,
-decrementing and repairing along the continued path to the predecessor. If
-the key turns out to be absent, a second pass back up the parent chain
-restores the decremented weights and the delete reports False; rotations
-already made are kept, as they leave the tree structurally sound. The same
-walk undoes the pending +1s or -1s when a key comparison raises, in insert
-and delete alike, before the exception propagates.
+Deletion mirrors this with decrements: weights drop on arrival. Each level
+names the child about to shrink and its heavy sibling, and repairs when the
+sibling outweighs delta times the shrinking child's weight minus one; the
+heavy child never holds the key, so the gamma test reads its grandchild
+weights unadjusted. A found node with at most one child is spliced out. One
+with two children checks its left side, which loses the predecessor, then
+the pass continues down to the predecessor, decrementing and repairing, and
+relinks it into the doomed node's place. If the key is absent, a second pass
+back up the parent chain restores the decremented weights and the delete
+reports False; rotations already made are kept, as they leave the tree
+structurally sound. The same walk undoes the pending weight changes of
+insert and delete alike when a key comparison raises.
 """
 
 from __future__ import annotations
 
-from .core import NIL, Node, Tree, rotate_left, rotate_right
+from .core import (NIL, Node, Tree, relink_predecessor, rotate_left,
+                   rotate_right, splice_out)
 
 
 class TopDownTree(Tree):
@@ -64,25 +65,19 @@ class TopDownTree(Tree):
                     l = v.left
                     # Pending arrival on the left: overload iff (|L|+1) > |R|*delta.
                     if l is not nil and (l.weight + 1) * dd > v.right.weight * dn:
-                        s, node = self._insert_repair_left(v, key)
+                        v, node = self._insert_repair_left(v, key)
+                        touches += 2
                         if node is not None:
-                            touches += 2
                             break
-                        if s is not v:
-                            touches += 2
-                            s.weight += 1
-                            v = s
+                        v.weight += 1
                 else:
                     r = v.right
                     if r is not nil and (r.weight + 1) * dd > v.left.weight * dn:
-                        s, node = self._insert_repair_right(v, key)
+                        v, node = self._insert_repair_right(v, key)
+                        touches += 2
                         if node is not None:
-                            touches += 2
                             break
-                        if s is not v:
-                            touches += 2
-                            s.weight += 1
-                            v = s
+                        v.weight += 1
                 # Descend one level, re-aimed against the current occupant.
                 if key <= v.key:
                     c = v.left
@@ -183,6 +178,7 @@ class TopDownTree(Tree):
         dd = self._dd
         v.weight -= 1
         repaired = False
+        found = True
         touches = 1
         try:
             while True:
@@ -191,60 +187,34 @@ class TopDownTree(Tree):
                     l = v.left
                     r = v.right
                     if l is nil or r is nil:
-                        self._splice_out(v)
-                        self.size -= 1
-                        sink = self.sink
-                        if sink is not None:
-                            sink.touch_count += touches
-                        return True
+                        splice_out(self, v)
+                        break
                     # Two children: the predecessor will leave the left subtree.
                     if not repaired and r.weight * dd > (l.weight - 1) * dn:
-                        s = self._delete_repair(v, raise_right=True)
-                        if s is not v:
-                            touches += 2
-                            s.weight -= 1
-                            v = s
-                            repaired = True
-                            continue
+                        v = self._delete_repair(v, r)
+                        v.weight -= 1
+                        touches += 2
+                        repaired = True
+                        continue
                     touches += self._remove_two_child(v)
-                    self.size -= 1
-                    sink = self.sink
-                    if sink is not None:
-                        sink.touch_count += touches
-                    return True
+                    break
+                # c is the child about to shrink, h its heavy sibling.
                 if key < k:
                     c = v.left
-                    if c is nil:
-                        self._rollback(v, 1)
-                        sink = self.sink
-                        if sink is not None:
-                            sink.touch_count += touches
-                        return False
-                    # Left side is about to shrink; check the right overhang.
-                    if not repaired and v.right.weight * dd > (c.weight - 1) * dn:
-                        s = self._delete_repair(v, raise_right=True)
-                        if s is not v:
-                            touches += 2
-                            s.weight -= 1
-                            v = s
-                            repaired = True
-                            continue
+                    h = v.right
                 else:
                     c = v.right
-                    if c is nil:
-                        self._rollback(v, 1)
-                        sink = self.sink
-                        if sink is not None:
-                            sink.touch_count += touches
-                        return False
-                    if not repaired and v.left.weight * dd > (c.weight - 1) * dn:
-                        s = self._delete_repair(v, raise_right=False)
-                        if s is not v:
-                            touches += 2
-                            s.weight -= 1
-                            v = s
-                            repaired = True
-                            continue
+                    h = v.left
+                if c is nil:
+                    self._rollback(v, 1)
+                    found = False
+                    break
+                if not repaired and h.weight * dd > (c.weight - 1) * dn:
+                    v = self._delete_repair(v, h)
+                    v.weight -= 1
+                    touches += 2
+                    repaired = True
+                    continue
                 repaired = False
                 v = c
                 v.weight -= 1
@@ -252,18 +222,23 @@ class TopDownTree(Tree):
         except BaseException:
             self._rollback(v, 1)
             raise
+        if found:
+            self.size -= 1
+        nil.parent = nil
+        sink = self.sink
+        if sink is not None:
+            sink.touch_count += touches
+        return found
 
-    def _delete_repair(self, v: Node, raise_right: bool) -> Node:
-        # Heavy child sits opposite the shrinking side; the deletion target
-        # is never inside it, so the gamma test reads current weights.
+    def _delete_repair(self, v: Node, h: Node) -> Node:
+        # Raise h, v's heavy child, opposite the shrinking side; the deletion
+        # target is never inside it, so the gamma test reads current weights.
         gn = self._gn
         gd = self._gd
-        if raise_right:
-            h = v.right
+        if h is v.right:
             if h.left.weight * gd > h.right.weight * gn:
                 rotate_right(self, h)
             return rotate_left(self, v)
-        h = v.left
         if h.right.weight * gd > h.left.weight * gn:
             rotate_left(self, h)
         return rotate_right(self, v)
@@ -280,56 +255,18 @@ class TopDownTree(Tree):
         repaired = False
         while u.right is not nil:
             if not repaired and u.left.weight * dd > (u.right.weight - 1) * dn:
-                s = self._delete_repair(u, raise_right=False)
-                if s is not u:
-                    touches += 2
-                    s.weight -= 1
-                    u = s
-                    repaired = True
-                    continue
+                u = self._delete_repair(u, u.left)
+                u.weight -= 1
+                touches += 2
+                repaired = True
+                continue
             repaired = False
             u = u.right
             u.weight -= 1
             touches += 1
-
-        p = u.parent
-        if p is v:
-            # Predecessor is v's direct left child and keeps its own left
-            # subtree; it only gains v's right side.
-            u.right = v.right
-            v.right.parent = u
-        else:
-            lu = u.left
-            p.right = lu
-            lu.parent = p
-            u.left = v.left
-            v.left.parent = u
-            u.right = v.right
-            v.right.parent = u
-        g = v.parent
-        u.parent = g
-        if g is nil:
-            self.root = u
-        elif g.left is v:
-            g.left = u
-        else:
-            g.right = u
+        relink_predecessor(self, v, u)
         u.weight = u.left.weight + u.right.weight
-        nil.parent = nil
         return touches
-
-    def _splice_out(self, v: Node):
-        nil = NIL
-        c = v.left if v.left is not nil else v.right
-        p = v.parent
-        c.parent = p
-        if p is nil:
-            self.root = c
-        elif p.left is v:
-            p.left = c
-        else:
-            p.right = c
-        nil.parent = nil
 
     def _rollback(self, v: Node, step: int):
         # Absent key, or a key comparison raised: add step back along the

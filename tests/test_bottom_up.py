@@ -1,3 +1,7 @@
+import random
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, strategies as st
 
 from wbtree.bottom_up import BottomUpTree
@@ -5,7 +9,7 @@ from wbtree.core import NIL, Node, dump
 from wbtree.metrics import MetricsSink, count_violations, max_depth
 from wbtree.oracle import (SortedMultisetOracle, audit, audit_structure,
                            equivalence_check)
-from wbtree.params import PARAM_SETS
+from wbtree.params import PARAM_SETS, make_params
 
 
 def grown(keys, params=PARAM_SETS["integral"], sink=None):
@@ -135,6 +139,27 @@ def test_delete_gamma_tie_takes_double_rotation():
     assert dump(t) == (
         "10:2 20:4 25:2 30:7 40:2 50:3\n"
         "(30 (20 (10 . .) (25 . .)) (50 (40 . .) .))")
+
+
+@pytest.mark.parametrize("delta", [1, Fraction(5, 4), Fraction(3, 2),
+                                   Fraction(7, 4)], ids=lambda d: str(float(d)))
+def test_gamma_one_never_rotates_the_sentinel(delta):
+    """Under gamma = 1 a leaf heavy child ties the gamma test with two empty
+    grandchildren. The tie must not pick a double rotation: its inner pivot
+    would be the shared sentinel. Structure stays sound, though balance
+    is not promised for these sets."""
+    t = BottomUpTree(make_params(delta, 1))
+    o = SortedMultisetOracle()
+    rng = random.Random(61)
+    for _ in range(400):
+        k = rng.randrange(30)
+        if rng.random() < 0.6:
+            t.insert(k)
+            o.insert(k)
+        else:
+            assert t.delete(k) == o.remove(k)
+        assert audit_structure(t) == []
+        assert equivalence_check(t, o) == []
 
 
 def test_sink_sees_rotations():

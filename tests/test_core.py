@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from wbtree.bottom_up import BottomUpTree
@@ -6,8 +7,10 @@ from wbtree.core import (
     Node,
     Tree,
     dump,
+    relink_predecessor,
     rotate_left,
     rotate_right,
+    splice_out,
     structure_string,
     subtree_maximum,
 )
@@ -170,4 +173,72 @@ def test_double_rotations_preserve_order_and_structure(keys):
         rotate_left(t, t.root.left)
         rotate_right(t, t.root)
     assert t.inorder_keys() == before
+    assert audit_structure(t) == []
+
+
+def settle(t, low):
+    """Refresh weights from low, a link edit's answer, up to the root."""
+    while low is not NIL:
+        low.weight = low.left.weight + low.right.weight
+        low = low.parent
+    t.size -= 1
+
+
+def test_splice_out_leaf_one_child_and_root():
+    t = tree_of((10, (5, None, None), (20, None, None)))
+    five = t.root.left
+    assert splice_out(t, five) is t.root
+    assert t.root.weight == 4  # links only; the caller refreshes weights
+    settle(t, t.root)
+    assert structure_string(t) == "(10 . (20 . .))"
+    assert audit_structure(t) == []
+
+    t = tree_of((10, (5, (2, None, None), None), (20, None, None)))
+    assert splice_out(t, t.root.left) is t.root
+    assert t.root.left.key == 2 and t.root.left.parent is t.root
+    settle(t, t.root)
+    assert structure_string(t) == "(10 (2 . .) (20 . .))"
+    assert audit_structure(t) == []
+
+    t = tree_of((10, None, (20, None, None)))
+    assert splice_out(t, t.root) is NIL
+    assert t.root.key == 20 and t.root.parent is NIL
+    settle(t, NIL)
+    assert structure_string(t) == "(20 . .)"
+    assert audit_structure(t) == []
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_relink_predecessor_that_is_the_left_child(outer):
+    # u = v.left keeps its own left subtree and gains v's right one.
+    inner = (10, (5, (2, None, None), None), (20, None, None))
+    t = tree_of((50, inner, (60, None, None)) if outer else inner)
+    v = t.root.left if outer else t.root
+    u = v.left
+    assert relink_predecessor(t, v, u) is u
+    assert (u.left.key, u.right.key) == (2, 20)
+    assert u.right.parent is u
+    assert u.parent is (t.root if outer else NIL)
+    settle(t, u)
+    shape = "(5 (2 . .) (20 . .))"
+    assert structure_string(t) == (f"(50 {shape} (60 . .))" if outer else shape)
+    assert audit_structure(t) == []
+
+
+@pytest.mark.parametrize("outer", [False, True])
+def test_relink_deeper_predecessor_hands_its_slot_to_its_left_child(outer):
+    inner = (10, (5, (2, None, None), (8, (7, None, None), None)),
+             (20, None, None))
+    t = tree_of((50, inner, (60, None, None)) if outer else inner)
+    v = t.root.left if outer else t.root
+    five = v.left
+    u = subtree_maximum(five)
+    assert u.key == 8
+    assert relink_predecessor(t, v, u) is five
+    assert five.right.key == 7 and five.right.parent is five
+    assert u.left is five and five.parent is u
+    assert u.right.key == 20 and u.right.parent is u
+    settle(t, five)
+    shape = "(8 (5 (2 . .) (7 . .)) (20 . .))"
+    assert structure_string(t) == (f"(50 {shape} (60 . .))" if outer else shape)
     assert audit_structure(t) == []

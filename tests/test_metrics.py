@@ -37,9 +37,10 @@ def test_sink_reset_clears_everything():
 
 def test_count_violations_on_broken_shape():
     # A left chain of five nodes: the top two both violate delta = 3.
-    t = tree_of((5, (4, (3, (2, (1, None, None), None), None), None), None))
-    assert count_violations(t) == 2
-    assert count_violations(t, make_params(4, 2)) == 1
+    chain = (5, (4, (3, (2, (1, None, None), None), None), None), None)
+    assert count_violations(tree_of(chain)) == 2
+    # Under delta = 4 only the root (weights 5 and 1) is out of bounds.
+    assert count_violations(tree_of(chain, make_params(4, 2))) == 1
 
 
 def test_count_violations_zero_on_balanced():

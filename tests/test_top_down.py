@@ -252,6 +252,9 @@ RAISING_TREES = {
     # so the weight rollback is exercised across a rotation too.
     ("insert", [0, 1, 2, 3, 4], 5),
     ("delete", [4, 2, 8, 6, 10, 12, 14], 1),
+    # A present key whose node has two children and is repaired on arrival,
+    # so a later budget raises on the key == k branch after that repair.
+    ("delete", [0, 1, 2, 3, 4], 1),
 ])
 @pytest.mark.parametrize("kind", sorted(RAISING_TREES))
 def test_raising_comparison_leaves_tree_intact(kind, op, keys, key):
