@@ -8,12 +8,17 @@ starts. That pass walks the ancestor chain to the root, refreshing each
 node's weight from its children and repairing any overhang with a single
 or double rotation chosen by the gamma test. Every ancestor is re-checked;
 deletions can push imbalance arbitrarily far up, so there is no early exit.
+
+Neither pass keeps a counter. With a metrics sink attached, an op books its
+node touches once, before the upward pass, from the length of the parent
+chain that pass will walk (core.chain_length): an insert touches that chain
+twice, once going down and once coming up, plus one.
 """
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, relink_predecessor, rotate_left,
-                   rotate_right, splice_out, subtree_maximum)
+from .core import (NIL, Node, Tree, chain_length, relink_predecessor,
+                   rotate_left, rotate_right, splice_out, subtree_maximum)
 
 
 class BottomUpTree(Tree):
@@ -26,9 +31,7 @@ class BottomUpTree(Tree):
             self.root = node
             self.size = 1
             return node
-        touches = 1
         while True:
-            touches += 1
             if key <= v.key:
                 c = v.left
                 if c is nil:
@@ -42,10 +45,11 @@ class BottomUpTree(Tree):
             v = c
         node.parent = v
         self.size += 1
-        touches += self._repair_upward(v)
         sink = self.sink
         if sink is not None:
-            sink.touch_count += touches
+            # The descent and the upward pass each touch v's chain once.
+            sink.touch_count += 1 + 2 * chain_length(v)
+        self._repair_upward(v)
         return node
 
     def delete(self, key) -> bool:
@@ -67,22 +71,22 @@ class BottomUpTree(Tree):
                     v = v.left if key < v.key else v.right
             return False
 
-        touches = 1
         if v.left is not nil and v.right is not nil:
             # Relink the predecessor (max of the left subtree) into v's
             # position; the upward pass refreshes the weights it left stale.
             low = relink_predecessor(self, v, subtree_maximum(v.left))
-            touches += 2
+            touches = 3
         else:
             low = splice_out(self, v)
+            touches = 1
         self.size -= 1
-        touches += self._repair_upward(low)
         sink = self.sink
         if sink is not None:
-            sink.touch_count += touches
+            sink.touch_count += touches + chain_length(low)
+        self._repair_upward(low)
         return True
 
-    def _repair_upward(self, start: Node) -> int:
+    def _repair_upward(self, start: Node):
         """Refresh weights and fix overhangs from start to the root."""
         nil = NIL
         dn = self._dn
@@ -90,9 +94,7 @@ class BottomUpTree(Tree):
         gn = self._gn
         gd = self._gd
         v = start
-        touches = 0
         while v is not nil:
-            touches += 1
             parent = v.parent
             l = v.left
             r = v.right
@@ -120,4 +122,3 @@ class BottomUpTree(Tree):
         # Splices and rotations may aim the sentinel's parent at real nodes;
         # re-loop it so the tree rests with the sentinel self-looped.
         nil.parent = nil
-        return touches

@@ -133,6 +133,15 @@ def subtree_maximum(v: Node) -> Node:
     return v
 
 
+def chain_length(v: Node) -> int:
+    """Nodes from v up to the root, both included; 0 for NIL."""
+    n = 0
+    while v is not NIL:
+        n += 1
+        v = v.parent
+    return n
+
+
 def splice_out(tree: Tree, v: Node) -> Node:
     """Unlink v, which has at most one real child, lifting that child into
     v's slot. Edits links only; returns v's old parent (NIL for the root),

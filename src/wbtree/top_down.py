@@ -1,14 +1,19 @@
 """Single-pass weight-balanced tree: repair while descending.
 
-Insertion walks the tree exactly once. At each node it first bumps the
-node's weight (the new key will land in this subtree), then checks whether
-that pending arrival would overload one side, using child weights with a +1
-on the side the key descends into. If so it rotates at the current position,
-single or double per the gamma test, where the gamma test also anticipates
-which grandchild subtree the key will land in. After a rotation the descent
-re-aims by comparing the key against the node now occupying the position and
-carries on downward; at most one rotation happens per level, which bounds
-work even for parameter sets with no balance guarantee.
+Insertion walks the tree exactly once, carrying one number down: w, the
+current node's weight with the pending +1 of the arriving key already
+applied. On arrival it writes w into the node, compares the key once and
+reads only the child the key heads into, whose pending weight is
+cw = weight(child) + 1. Since weight(v) = weight(left) + weight(right), the
+sibling's weight is w - cw without loading the sibling, and the pending
+arrival overloads the child's side iff cw * dd > (w - cw) * dn. If it does,
+the descent rotates at the current position, single or double per the gamma
+test, where the gamma test also anticipates which grandchild subtree the key
+will land in; only then is the heavy side loaded. After a rotation the
+descent re-aims with one comparison against the node now occupying the
+position and carries on downward with the chosen child's weight; at most one
+rotation happens per level, which bounds work even for parameter sets with
+no balance guarantee.
 
 One wrinkle: the gamma test may pick a double rotation whose rising pivot
 is the key's own empty slot (the inner grandchild position the key is headed
@@ -21,24 +26,33 @@ pairs. The empty-slot case can only arise on the branch where the key heads
 for the inner grandchild: a nil inner can never win the gamma test on the
 outer branch, since that would need gamma < 1/2.
 
-Deletion mirrors this with decrements: weights drop on arrival. Each level
-names the child about to shrink and its heavy sibling, and repairs when the
-sibling outweighs delta times the shrinking child's weight minus one; the
-heavy child never holds the key, so the gamma test reads its grandchild
-weights unadjusted. A found node with at most one child is spliced out. One
-with two children checks its left side, which loses the predecessor, then
-the pass continues down to the predecessor, decrementing and repairing, and
-relinks it into the doomed node's place. If the key is absent, a second pass
-back up the parent chain restores the decremented weights and the delete
-reports False; rotations already made are kept, as they leave the tree
-structurally sound. The same walk undoes the pending weight changes of
-insert and delete alike when a key comparison raises.
+Deletion mirrors this with decrements: w is the weight with the pending -1
+applied and cw = weight(child) - 1 for the child about to shrink. Each level
+repairs when its sibling, weighing w - cw, outweighs delta times cw; only a
+repair loads the heavy sibling, which never holds the key, so the gamma test
+reads its grandchild weights unadjusted. A found node with at most one child
+is spliced out. One with two children checks its left side, which loses the
+predecessor, then the pass continues down to the predecessor, decrementing
+and repairing, and relinks it into the doomed node's place. If the key is
+absent, a second pass back up the parent chain restores the decremented
+weights and the delete reports False; rotations already made are kept, as
+they leave the tree structurally sound. Every node's weight is written
+before the key is compared against it, so the same walk undoes the pending
+weight changes of insert and delete alike when a key comparison raises.
+
+The loops keep no per-level counter. With a metrics sink attached, an op
+books its node touches once at exit from the length of the parent chain it
+left behind (core.chain_length) plus two per repair: an insert touches
+every ancestor of the new node, one more if the node was built in place,
+and the root once more; a delete touches the root and every node on the
+chain of the lowest node that lost a descendant (on a miss, the ancestors
+of the last node compared).
 """
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, relink_predecessor, rotate_left,
-                   rotate_right, splice_out)
+from .core import (NIL, Node, Tree, chain_length, relink_predecessor,
+                   rotate_left, rotate_right, splice_out)
 
 
 class TopDownTree(Tree):
@@ -56,29 +70,44 @@ class TopDownTree(Tree):
             return node
         dn = self._dn
         dd = self._dd
-        touches = 0
+        w = v.weight + 1
+        touches = 1
         try:
             while True:
-                touches += 1
-                v.weight += 1
+                v.weight = w
                 if key <= v.key:
-                    l = v.left
-                    # Pending arrival on the left: overload iff (|L|+1) > |R|*delta.
-                    if l is not nil and (l.weight + 1) * dd > v.right.weight * dn:
-                        v, node = self._insert_repair_left(v, key)
-                        touches += 2
-                        if node is not None:
-                            break
-                        v.weight += 1
+                    c = v.left
+                    if c is nil:
+                        node = Node(key, nil, nil, v, 2)
+                        v.left = node
+                        break
+                    cw = c.weight + 1
+                    # Pending arrival on the left: overload iff
+                    # (|L|+1) > |R|*delta, with |R| = w - cw.
+                    if cw * dd <= (w - cw) * dn:
+                        v = c
+                        w = cw
+                        continue
+                    v, node = self._insert_repair_left(v, key)
                 else:
-                    r = v.right
-                    if r is not nil and (r.weight + 1) * dd > v.left.weight * dn:
-                        v, node = self._insert_repair_right(v, key)
-                        touches += 2
-                        if node is not None:
-                            break
-                        v.weight += 1
-                # Descend one level, re-aimed against the current occupant.
+                    c = v.right
+                    if c is nil:
+                        node = Node(key, nil, nil, v, 2)
+                        v.right = node
+                        break
+                    cw = c.weight + 1
+                    if cw * dd <= (w - cw) * dn:
+                        v = c
+                        w = cw
+                        continue
+                    v, node = self._insert_repair_right(v, key)
+                touches += 2
+                if node is not None:
+                    touches += 1
+                    break
+                # Re-aim against the new occupant, which holds the same
+                # nodes, and descend one level without a second check.
+                v.weight = w
                 if key <= v.key:
                     c = v.left
                     if c is nil:
@@ -92,6 +121,7 @@ class TopDownTree(Tree):
                         v.right = node
                         break
                 v = c
+                w = c.weight + 1
         except BaseException:
             # A key comparison raised: take back the pending +1s.
             self._rollback(v, -1)
@@ -101,7 +131,7 @@ class TopDownTree(Tree):
         nil.parent = nil
         sink = self.sink
         if sink is not None:
-            sink.touch_count += touches + 1
+            sink.touch_count += touches + chain_length(node.parent)
         return node
 
     def _insert_repair_left(self, v: Node, key):
@@ -176,49 +206,46 @@ class TopDownTree(Tree):
             return False
         dn = self._dn
         dd = self._dd
-        v.weight -= 1
+        w = v.weight - 1
         repaired = False
         found = True
         touches = 1
         try:
             while True:
+                v.weight = w
                 k = v.key
                 if key == k:
-                    l = v.left
-                    r = v.right
-                    if l is nil or r is nil:
-                        splice_out(self, v)
+                    c = v.left
+                    if c is nil or v.right is nil:
+                        low = splice_out(self, v)
                         break
-                    # Two children: the predecessor will leave the left subtree.
-                    if not repaired and r.weight * dd > (l.weight - 1) * dn:
-                        v = self._delete_repair(v, r)
-                        v.weight -= 1
+                    # Two children: the predecessor will leave the left
+                    # subtree, so the left child is the one to shrink.
+                    cw = c.weight - 1
+                    if not repaired and (w - cw) * dd > cw * dn:
+                        v = self._delete_repair(v, c)
                         touches += 2
                         repaired = True
                         continue
-                    touches += self._remove_two_child(v)
+                    low, more = self._remove_two_child(v, cw)
+                    touches += more
                     break
-                # c is the child about to shrink, h its heavy sibling.
-                if key < k:
-                    c = v.left
-                    h = v.right
-                else:
-                    c = v.right
-                    h = v.left
+                # c is the child about to shrink; its sibling weighs w - cw.
+                c = v.left if key < k else v.right
                 if c is nil:
                     self._rollback(v, 1)
                     found = False
+                    low = v.parent
                     break
-                if not repaired and h.weight * dd > (c.weight - 1) * dn:
-                    v = self._delete_repair(v, h)
-                    v.weight -= 1
+                cw = c.weight - 1
+                if not repaired and (w - cw) * dd > cw * dn:
+                    v = self._delete_repair(v, c)
                     touches += 2
                     repaired = True
                     continue
                 repaired = False
                 v = c
-                v.weight -= 1
-                touches += 1
+                w = cw
         except BaseException:
             self._rollback(v, 1)
             raise
@@ -227,46 +254,53 @@ class TopDownTree(Tree):
         nil.parent = nil
         sink = self.sink
         if sink is not None:
-            sink.touch_count += touches
+            sink.touch_count += touches + chain_length(low)
         return found
 
-    def _delete_repair(self, v: Node, h: Node) -> Node:
-        # Raise h, v's heavy child, opposite the shrinking side; the deletion
-        # target is never inside it, so the gamma test reads current weights.
+    def _delete_repair(self, v: Node, c: Node) -> Node:
+        # Raise the heavy sibling of c, the shrinking child, into v's
+        # position; the deletion target is never inside it, so the gamma
+        # test reads current weights.
         gn = self._gn
         gd = self._gd
-        if h is v.right:
+        if c is v.left:
+            h = v.right
             if h.left.weight * gd > h.right.weight * gn:
                 rotate_right(self, h)
             return rotate_left(self, v)
+        h = v.left
         if h.right.weight * gd > h.left.weight * gn:
             rotate_left(self, h)
         return rotate_right(self, v)
 
-    def _remove_two_child(self, v: Node) -> int:
+    def _remove_two_child(self, v: Node, w: int):
         # Continue the downward pass to the predecessor, then relink it into
-        # v's position. Decrement on arrival; one repair chance per level.
+        # v's position. w is v.left's weight less the leaving node; each
+        # level writes its carried weight and gets one repair chance.
+        # Returns the lowest node that lost a descendant and the touches
+        # its repairs add.
         nil = NIL
         dn = self._dn
         dd = self._dd
         u = v.left
-        u.weight -= 1
-        touches = 1
+        c = u.right
         repaired = False
-        while u.right is not nil:
-            if not repaired and u.left.weight * dd > (u.right.weight - 1) * dn:
-                u = self._delete_repair(u, u.left)
-                u.weight -= 1
+        touches = 0
+        while c is not nil:
+            u.weight = w
+            cw = c.weight - 1
+            if not repaired and (w - cw) * dd > cw * dn:
+                u = self._delete_repair(u, c)
                 touches += 2
                 repaired = True
-                continue
-            repaired = False
-            u = u.right
-            u.weight -= 1
-            touches += 1
-        relink_predecessor(self, v, u)
+            else:
+                repaired = False
+                u = c
+                w = cw
+            c = u.right
+        low = relink_predecessor(self, v, u)
         u.weight = u.left.weight + u.right.weight
-        return touches
+        return low, touches
 
     def _rollback(self, v: Node, step: int):
         # Absent key, or a key comparison raised: add step back along the

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import NIL, Node, dump, structure_string
+from wbtree.core import NIL, Node, chain_length, dump, structure_string
 from wbtree.metrics import MetricsSink, count_violations, max_depth
 from wbtree.oracle import (
     SortedMultisetOracle,
@@ -255,6 +255,9 @@ RAISING_TREES = {
     # A present key whose node has two children and is repaired on arrival,
     # so a later budget raises on the key == k branch after that repair.
     ("delete", [0, 1, 2, 3, 4], 1),
+    # The root repairs with a single rotation; the third comparison is the
+    # re-aim against the raised child.
+    ("insert", [1, 2, 3], 4),
 ])
 @pytest.mark.parametrize("kind", sorted(RAISING_TREES))
 def test_raising_comparison_leaves_tree_intact(kind, op, keys, key):
@@ -272,6 +275,105 @@ def test_raising_comparison_leaves_tree_intact(kind, op, keys, key):
         else:
             break  # the budget outlasted the operation
     assert budget > 0
+
+
+def test_raising_reaim_after_repair_restores_every_weight():
+    sink = MetricsSink()
+    t = grown([1, 2, 3], sink=sink)
+    assert dump(t) == "1:4 2:3 3:2\n(1 . (2 . (3 . .)))"
+    # Budget 2: the overload check at the root, the gamma test's
+    # comparison, then the re-aim against the raised node 2 raises.
+    fuse = Fuse(4, 2)
+    with pytest.raises(RuntimeError):
+        t.insert(fuse)
+    assert fuse.budget == 0 and sink.rotation_count == 1
+    # The rotation stays; every weight is the true one again.
+    assert dump(t) == "1:2 2:4 3:2\n(2 (1 . .) (3 . .))"
+    assert t.inorder_keys() == [1, 2, 3] and len(t) == 3
+    assert audit_structure(t) == []
+    t.insert(4)
+    assert audit(t) == []
+
+
+class Counted:
+    """A number key that counts the comparisons made between such keys."""
+
+    calls = 0
+
+    def __init__(self, k):
+        self.k = k
+
+    def __lt__(self, other):
+        Counted.calls += 1
+        return self.k < other.k
+
+    def __le__(self, other):
+        Counted.calls += 1
+        return self.k <= other.k
+
+    def __gt__(self, other):
+        Counted.calls += 1
+        return self.k > other.k
+
+    def __ge__(self, other):
+        Counted.calls += 1
+        return self.k >= other.k
+
+    def __eq__(self, other):
+        Counted.calls += 1
+        return self.k == other.k
+
+
+def search_path_length(t, k) -> int:
+    """Nodes a search for k compares against, without counting them."""
+    n = 0
+    v = t.root
+    while v is not NIL:
+        n += 1
+        if k == v.key.k:
+            break
+        v = v.left if k < v.key.k else v.right
+    return n
+
+
+@pytest.mark.parametrize("name", ["topdown", "tight", "overtight"])
+def test_insert_without_rotation_compares_once_per_ancestor(rnd, name):
+    sink = MetricsSink()
+    t = TopDownTree(PARAM_SETS[name], sink=sink)
+    plain = 0
+    for _ in range(3000):
+        rotations = sink.rotation_count
+        Counted.calls = 0
+        node = t.insert(Counted(rnd.randrange(1000)))
+        if sink.rotation_count == rotations:
+            assert Counted.calls == chain_length(node.parent)
+            plain += 1
+    assert plain > 200
+
+
+@pytest.mark.parametrize("name", ["topdown", "tight", "overtight"])
+def test_delete_compares_at_most_twice_per_level(rnd, name):
+    sink = MetricsSink()
+    t = TopDownTree(PARAM_SETS[name], sink=sink)
+    for _ in range(1500):
+        t.insert(Counted(rnd.randrange(1000)))
+    plain = 0
+    for _ in range(2000):
+        k = rnd.randrange(1000)
+        path = search_path_length(t, k)
+        rotations = sink.rotation_count
+        Counted.calls = 0
+        hit = t.delete(Counted(k))
+        rotated = sink.rotation_count - rotations
+        if rotated == 0:
+            # == then < at every node passed, == alone at a hit.
+            assert Counted.calls == 2 * path - hit
+            plain += 1
+        else:
+            # A repair may deepen the key by one level and re-examines
+            # the node it raises.
+            assert Counted.calls <= 2 * path + 4 * rotated
+    assert plain > 200
 
 
 keys_strategy = st.lists(st.integers(0, 40), min_size=0, max_size=120)
