@@ -204,10 +204,10 @@ def _audit_cell(vs: VariantSpec, tree, spec: ExperimentSpec, where: str):
         return
     if vs.scheme == "redblack":
         problems = rb_audit(tree)
+    elif vs.balance_guaranteed():
+        problems = audit_balance(tree)
     else:
         problems = audit_structure(tree)
-        if vs.balance_guaranteed():
-            problems = problems + audit_balance(tree)
     if problems:
         raise AuditFailure(f"{vs.label} {where}: " + "; ".join(problems[:4]))
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -276,23 +275,3 @@ def dump_workload(w: KeyWorkload) -> str:
     body = "\n".join(str(k) for k in w.keys)
     return head + ("\n" + body if body else "") + "\n"
 
-
-def load_workload(text: str) -> KeyWorkload:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise ValueError("missing workload header")
-    fields = {}
-    for tok in lines[0][2:].split():
-        if "=" not in tok:
-            raise ValueError(f"bad header token: {tok!r}")
-        k, _, val = tok.partition("=")
-        fields[k] = val
-    try:
-        w = KeyWorkload(fields["dist"], int(fields["n"]), int(fields["U"]),
-                        int(fields["seed"]), float(fields["s"]), [])
-    except KeyError as e:
-        raise ValueError(f"missing header field: {e.args[0]}") from None
-    w.keys = [int(line) for line in lines[1:] if line.strip()]
-    if len(w.keys) != w.n:
-        raise ValueError(f"header says n={w.n}, file holds {len(w.keys)} keys")
-    return w

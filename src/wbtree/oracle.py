@@ -7,13 +7,17 @@ traversal or predicate code with the implementations it judges:
 * SortedMultisetOracle — a bisect-maintained sorted list with the same
   multiset semantics the trees promise (insert always succeeds, delete
   removes one instance and reports whether it found one).
-* audit_structure — recounts every subtree from scratch and checks stored
-  weights, parent links, key ordering, and the cached size.
-* audit_balance — recomputes true subtree weights, then applies the
-  balance inequalities in exact integer arithmetic: with delta = n/m
-  exactly (a float's exact value for real parameters), wl*n >= wr*m and
-  wr*n >= wl*m; the 1+sqrt(2) set squares the sqrt(2) side instead,
-  which is safe because equality would make sqrt(2) rational.
+* audit_structure — one iterative post-order walk recounts every subtree
+  from scratch and checks stored weights, parent links, key ordering, and
+  the cached size.
+* audit_balance — the same single walk, which also applies the balance
+  inequalities to the true weights in exact integer arithmetic: with
+  delta = n/m exactly, wl*n >= wr*m and wr*n >= wl*m; classic, the only
+  real-valued set, is <1+sqrt(2), sqrt(2)> and squares the sqrt(2) side
+  instead, which is safe because equality would make sqrt(2) rational.
+  It returns the structure lines followed by the balance lines, since a
+  balance verdict on recounted weights means something only on a sound
+  structure.
 
 Balance auditing is for the weight-balanced trees; the red-black tree has
 its own property audit next to its implementation.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 
-from .params import PARAM_SETS, BalanceParams, Mode
+from .params import BalanceParams, Mode
 
 
 class SortedMultisetOracle:
@@ -57,83 +61,89 @@ class SortedMultisetOracle:
         return self._keys
 
 
-def _postorder(tree) -> list:
-    """All nodes, children before parents. Iterative; depth-proof."""
-    nil = tree.nil
-    order = []
-    stack = [tree.root] if tree.root is not nil else []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        if v.left is not nil:
-            stack.append(v.left)
-        if v.right is not nil:
-            stack.append(v.right)
-    order.reverse()
-    return order
+def _walk(tree, ok) -> tuple[list[str], list[str]]:
+    """One left-right-root recount of every subtree, ignoring stored
+    weights; returns (structure problems, balance problems), the latter
+    from ok on the true weights when ok is given.
 
-
-def _true_counts(tree, order) -> dict[int, int]:
-    """Recomputed node counts per subtree, ignoring stored weights."""
-    nil = tree.nil
-    counts: dict[int, int] = {}
-    for v in order:
-        n = 1
-        if v.left is not nil:
-            n += counts[id(v.left)]
-        if v.right is not nil:
-            n += counts[id(v.right)]
-        counts[id(v)] = n
-    return counts
-
-
-def audit_structure(tree) -> list[str]:
-    """Recount-from-scratch structural audit; empty list means clean."""
+    Iterative and depth-proof: each finished subtree leaves (true count,
+    least key, greatest key) on a value stack, right child on top.
+    """
     out: list[str] = []
+    unbalanced: list[str] = []
     nil = tree.nil
     root = tree.root
     if root is nil:
         if tree.size != 0:
             out.append(f"empty tree reports size {tree.size}")
-        return out
+        return out, unbalanced
     if root.parent is not nil:
         out.append("root parent is not the sentinel")
-    order = _postorder(tree)
-    counts = _true_counts(tree, order)
-    # Subtree key bounds, built in the same child-first order.
-    bounds: dict[int, tuple[object, object]] = {}
-    for v in order:
-        lo = hi = v.key
+    done: list[tuple] = []
+    # A node is pushed to be expanded; once expanded it sits under a None
+    # marker, and popping the marker finishes it.
+    todo = [root]
+    push, pop = todo.append, todo.pop
+    while todo:
+        v = pop()
+        expanded = v is None
+        if expanded:
+            v = pop()
         l, r = v.left, v.right
-        if l is not nil:
-            llo, lhi = bounds[id(l)]
-            lo, hi = min(lo, llo), max(hi, lhi)
-            if l.parent is not v:
-                out.append(f"left child of {v.key!r} has a wrong parent link")
-            if lhi > v.key:
-                out.append(f"order: {lhi!r} sits left of {v.key!r}")
+        if not expanded and (l is not nil or r is not nil):
+            push(v)
+            push(None)
+            if r is not nil:
+                push(r)
+            if l is not nil:
+                push(l)
+            continue
+        ln = rn = 0
+        lo = hi = key = v.key
         if r is not nil:
-            rlo, rhi = bounds[id(r)]
-            lo, hi = min(lo, rlo), max(hi, rhi)
+            rn, rlo, rhi = done.pop()
+        # `if b < a: a = b` is min(a, b) exactly, without the call; max alike.
+        if l is not nil:
+            ln, llo, lhi = done.pop()
+            if llo < lo:
+                lo = llo
+            if l.parent is not v:
+                out.append(f"left child of {key!r} has a wrong parent link")
+            if lhi > key:  # hi is still key
+                hi = lhi
+                out.append(f"order: {lhi!r} sits left of {key!r}")
+        if r is not nil:
+            if rlo < lo:
+                lo = rlo
+            if rhi > hi:
+                hi = rhi
             if r.parent is not v:
-                out.append(f"right child of {v.key!r} has a wrong parent link")
-            if rlo < v.key:
+                out.append(f"right child of {key!r} has a wrong parent link")
+            if rlo < key:
                 # Equal keys may legitimately sit right of their twin after
                 # a rotation; only a strictly smaller key is a defect.
-                out.append(f"order: {rlo!r} sits right of {v.key!r}")
-        bounds[id(v)] = (lo, hi)
-        if v.weight != counts[id(v)] + 1:
-            out.append(f"weight at {v.key!r}: stored {v.weight}, "
-                       f"true {counts[id(v)] + 1}")
-    if counts[id(root)] != tree.size:
-        out.append(f"size {tree.size} but tree holds {counts[id(root)]}")
-    return out
+                out.append(f"order: {rlo!r} sits right of {key!r}")
+        n = ln + rn + 1
+        if v.weight != n + 1:
+            out.append(f"weight at {key!r}: stored {v.weight}, true {n + 1}")
+        if ok is not None and not ok(ln + 1, rn + 1):
+            unbalanced.append(
+                f"balance at {key!r}: true weights ({ln + 1}, {rn + 1})")
+        done.append((n, lo, hi))
+    # The root finishes last, so n is its count.
+    if n != tree.size:
+        out.append(f"size {tree.size} but tree holds {n}")
+    return out, unbalanced
+
+
+def audit_structure(tree) -> list[str]:
+    """Recount-from-scratch structural audit; empty list means clean."""
+    return _walk(tree, None)[0]
 
 
 def exact_balance_predicate(params: BalanceParams):
     """(wl, wr) -> bool in exact arithmetic; see the module docstring."""
-    if (params.mode is Mode.REAL
-            and params.delta == PARAM_SETS["classic"].delta):
+    if params.mode is Mode.REAL:  # classic, the only real-valued set
 
         def ok(wl: int, wr: int) -> bool:
             # wl*(1+sqrt 2) >= wr  <=>  wr - wl <= wl*sqrt 2; square the
@@ -145,7 +155,7 @@ def exact_balance_predicate(params: BalanceParams):
             return not (t > 0 and t * t > 2 * wr * wr)
 
         return ok
-    # delta = n/m exactly, for a Fraction and for the value of a float alike.
+    # Rational mode: delta = n/m exactly.
     n, m = params.delta.as_integer_ratio()
 
     def ok(wl: int, wr: int) -> bool:
@@ -155,64 +165,8 @@ def exact_balance_predicate(params: BalanceParams):
 
 
 def audit_balance(tree) -> list[str]:
-    """Check the balance inequalities at every node against true weights."""
-    out: list[str] = []
-    nil = tree.nil
-    if tree.root is nil:
-        return out
-    order = _postorder(tree)
-    counts = _true_counts(tree, order)
-    ok = exact_balance_predicate(tree.params)
-    for v in order:
-        wl = counts[id(v.left)] + 1 if v.left is not nil else 1
-        wr = counts[id(v.right)] + 1 if v.right is not nil else 1
-        if not ok(wl, wr):
-            out.append(f"balance at {v.key!r}: true weights ({wl}, {wr})")
-    return out
-
-
-def audit(tree) -> list[str]:
-    """Structure plus balance in one call."""
-    return audit_structure(tree) + audit_balance(tree)
-
-
-def equivalence_check(tree, oracle: SortedMultisetOracle) -> list[str]:
-    """Compare tree contents to the oracle multiset; empty means equal."""
-    out: list[str] = []
-    if len(tree) != len(oracle):
-        out.append(f"size: tree {len(tree)}, oracle {len(oracle)}")
-    tk = tree.inorder_keys()
-    ok_ = oracle.keys()
-    if tk != ok_:
-        # Both are sorted when healthy, so first point of difference is
-        # enough to localize the bug.
-        for i, (a, b) in enumerate(zip(tk, ok_)):
-            if a != b:
-                out.append(f"keys diverge at rank {i}: tree {a!r}, "
-                           f"oracle {b!r}")
-                break
-        else:
-            out.append(f"key count: tree {len(tk)}, oracle {len(ok_)}")
-    return out
-
-
-def apply_op(tree, oracle: SortedMultisetOracle, op: str, key) -> str | None:
-    """Apply one operation to both sides; returns a discrepancy or None.
-
-    Sizes are compared after every op, and delete return values must
-    agree. By induction this keeps the pair in lockstep cheaply; callers
-    run equivalence_check at sample points for the full comparison.
-    """
-    if op == "i":
-        tree.insert(key)
-        oracle.insert(key)
-    elif op == "d":
-        got = tree.delete(key)
-        want = oracle.remove(key)
-        if got is not want:
-            return f"delete {key!r}: tree said {got}, oracle said {want}"
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    if len(tree) != len(oracle):
-        return f"size skew after {op} {key!r}: {len(tree)} vs {len(oracle)}"
-    return None
+    """Structure lines, then balance lines on true weights, from one walk;
+    empty list means clean. A balance verdict on recounted weights means
+    something only on a sound structure."""
+    out, unbalanced = _walk(tree, exact_balance_predicate(tree.params))
+    return out + unbalanced

@@ -12,8 +12,9 @@ a double rotation when a repair is needed.
 
 Parameters are either exact rationals (the comparisons cross-multiply
 integers, exact at any weight since Python integers never overflow) or
-reals (the comparisons use precomputed doubles). This module checks and
-names parameter sets; it holds no predicate. The trees and
+reals (the comparisons use precomputed doubles; classic's <1+sqrt2,
+sqrt2> is the only real-valued set). This module checks and names
+parameter sets; it holds no predicate. The trees and
 metrics.count_violations inline `w1 * dn >= w2 * dd` and the gamma test
 on the operand pairs exposed here, and oracle.py re-derives the balance
 inequalities in exact arithmetic as the independent check.
@@ -28,6 +29,9 @@ from fractions import Fraction
 from typing import Union
 
 RatioOrReal = Union[int, float, Fraction]
+
+# classic's <1+sqrt2, sqrt2> as doubles.
+_CLASSIC = (1.0 + math.sqrt(2.0), math.sqrt(2.0))
 
 
 class Mode(enum.Enum):
@@ -58,16 +62,16 @@ class BalanceParams:
 def make_params(delta: RatioOrReal, gamma: RatioOrReal) -> BalanceParams:
     """Validate and build a BalanceParams.
 
-    Mode is rational exactly when both inputs are exact rationals (int or
-    Fraction); a float on either side selects real mode for both.
+    Mode is rational when both inputs are exact rationals (int or Fraction).
+    The one real-valued pair is classic's <1+sqrt2, sqrt2> as doubles: it
+    is the only real set with an exact audit predicate and a name, so any
+    other float input raises ValueError.
     """
     if isinstance(delta, float) or isinstance(gamma, float):
-        d = float(delta)
-        g = float(gamma)
-        if not (math.isfinite(d) and math.isfinite(g)):
-            raise ValueError("parameters must be finite")
-        if d < 1.0 or g < 1.0:
-            raise ValueError("delta and gamma must both be >= 1")
+        if (delta, gamma) != _CLASSIC:
+            raise ValueError("the only real-valued parameter set is "
+                             "classic's <1+sqrt2, sqrt2>")
+        d, g = _CLASSIC
         return BalanceParams(d, g, Mode.REAL, d, 1.0, g, 1.0)
     d = Fraction(delta)
     g = Fraction(gamma)
@@ -82,7 +86,7 @@ def make_params(delta: RatioOrReal, gamma: RatioOrReal) -> BalanceParams:
 # rebalancing sound; topdown is the pair proven safe for single-pass
 # updates; tight and overtight violate the known feasibility regions.
 PARAM_SETS = {
-    "classic": make_params(1.0 + math.sqrt(2.0), math.sqrt(2.0)),
+    "classic": make_params(*_CLASSIC),
     "integral": make_params(3, 2),
     "topdown": make_params(3, Fraction(4, 3)),
     "tight": make_params(2, Fraction(3, 2)),
@@ -128,10 +132,9 @@ def params_from_name(name: str) -> BalanceParams:
 
 
 def param_set_name(params: BalanceParams) -> str:
-    """Canonical name for a parameter set, or a custom:... spelling."""
+    """Canonical name for a parameter set, or its custom:... spelling; both
+    parse back through params_from_name."""
     for name, ps in PARAM_SETS.items():
         if ps == params:
             return name
-    if params.mode is Mode.RATIONAL:
-        return f"custom:{params.dn}/{params.dd}:{params.gn}/{params.gd}"
-    return f"custom:{params.delta}:{params.gamma}"
+    return f"custom:{params.dn}/{params.dd}:{params.gn}/{params.gd}"

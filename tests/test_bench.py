@@ -167,6 +167,23 @@ def test_insert_pct_rows():
         assert len(keys_of(shape)) == 42
 
 
+def test_each_audited_cell_makes_one_audit_call(monkeypatch):
+    calls = []
+    for name in ("audit_structure", "audit_balance", "rb_audit"):
+        audit = getattr(bench, name)
+        monkeypatch.setattr(
+            bench, name,
+            lambda tree, name=name, audit=audit: calls.append(name) or audit(tree))
+    variants = expand_variants(["bottom_up", "top_down", "redblack"],
+                               ["classic", "integral", "topdown"])
+    run_insert_pct(tiny_spec("insert-pct", variants, audit=True))
+    # 7 variants x 2 trees; the three sound WBT pairings get audit_balance,
+    # which includes the structure checks.
+    assert len(calls) == 7 * 2
+    assert (calls.count("audit_balance"), calls.count("audit_structure"),
+            calls.count("rb_audit")) == (3 * 2, 3 * 2, 2)
+
+
 def test_timed_cells_leave_no_trees_behind():
     # Several reps per cell, each on a fresh clone; the run must free every
     # clone and base tree it made, not leave them for a later collection.

@@ -158,7 +158,9 @@ def _raising_phase(capsys, monkeypatch):
 
 
 def _audit_failure(capsys, monkeypatch):
-    monkeypatch.setattr(bench, "audit_structure", lambda tree: ["bad"])
+    # TINY's variant is balance-guaranteed, so its cells call audit_balance.
+    for name in ("audit_structure", "audit_balance"):
+        monkeypatch.setattr(bench, name, lambda tree: ["bad"])
     code, _, err = run(["insert-pct"] + TINY + ["--audit"], capsys)
     assert code == 2
     assert "audit failure" in err

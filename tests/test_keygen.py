@@ -16,7 +16,6 @@ from wbtree.keygen import (
     gen_uniform,
     gen_zipf,
     generate,
-    load_workload,
     mix64,
 )
 
@@ -217,35 +216,16 @@ def test_fresh_keys_presorted_falls_back_to_uniform():
 
 
 def test_dump_load_round_trip():
+    # Nothing loads a dump; it is the exact text determinism checks compare.
     w = gen_zipf(10, 500, 13, s=1.25)
-    text = dump_workload(w)
-    assert text.startswith("# dist=zipf n=10 U=500 seed=13 s=1.25\n")
-    assert text.endswith("\n")
-    back = load_workload(text)
-    assert back.keys == w.keys
-    assert (back.dist, back.n, back.universe, back.seed, back.s) == (
-        w.dist, w.n, w.universe, w.seed, w.s)
+    assert dump_workload(w) == (
+        "# dist=zipf n=10 U=500 seed=13 s=1.25\n"
+        + "".join(f"{k}\n" for k in w.keys))
 
 
 def test_dump_empty_workload():
     w = gen_uniform(0, 10, 1)
     assert dump_workload(w) == "# dist=uniform n=0 U=10 seed=1 s=0\n"
-    assert load_workload(dump_workload(w)).keys == []
-
-
-def test_load_rejects_missing_header():
-    with pytest.raises(ValueError):
-        load_workload("42\n7\n")
-
-
-def test_load_rejects_missing_field():
-    with pytest.raises(ValueError, match="missing header field"):
-        load_workload("# dist=uniform n=2 seed=1 s=0\n1\n2\n")
-
-
-def test_load_rejects_count_mismatch():
-    with pytest.raises(ValueError, match="holds 1"):
-        load_workload("# dist=uniform n=2 U=9 seed=1 s=0\n4\n")
 
 
 @given(st.integers(0, 2 ** 64 - 1), st.integers(2, 1000))

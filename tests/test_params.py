@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wbtree.bench import VariantSpec
 from wbtree.params import (
@@ -39,9 +40,9 @@ def test_real_mode_from_floats():
 
 
 def test_mixed_operands_promote_to_real():
-    p = make_params(2 ** 0.5 + 1, Fraction(3, 2))
-    assert p.mode is Mode.REAL
-    assert p.gamma == 1.5
+    # classic's pair is the only real-valued set; a mixed pair is not it.
+    with pytest.raises(ValueError):
+        make_params(2 ** 0.5 + 1, Fraction(3, 2))
 
 
 @pytest.mark.parametrize("bad", [0.5, 0, -1, Fraction(9, 10), float("inf"), float("nan")])
@@ -65,7 +66,8 @@ def test_params_are_immutable():
 def test_equality_is_by_value():
     assert make_params(3, 2) == make_params(Fraction(3), Fraction(2))
     assert make_params(3, 2) != make_params(3, Fraction(4, 3))
-    assert make_params(2.0, 1.5) != make_params(2, Fraction(3, 2))  # mode differs
+    with pytest.raises(ValueError):
+        make_params(2.0, 1.5)  # a real-valued pair other than classic's
 
 
 def test_canonical_sets_present_with_expected_operands():
@@ -136,6 +138,15 @@ def test_param_set_name_round_trip():
     assert param_set_name(make_params(5, 3)) == "custom:5/1:3/1"
     again = params_from_name(param_set_name(make_params(Fraction(7, 4), Fraction(6, 5))))
     assert again == make_params(Fraction(7, 4), Fraction(6, 5))
+
+
+@given(st.fractions(min_value=1, max_denominator=50),
+       st.fractions(min_value=1, max_denominator=50),
+       st.sampled_from(["bottom_up", "top_down"]))
+def test_every_label_bench_emits_parses_back(delta, gamma, scheme):
+    for params in (*PARAM_SETS.values(), make_params(delta, gamma)):
+        label = VariantSpec(scheme, params).params_name
+        assert params_from_name(label) == params
 
 
 def test_repr_mentions_both_parameters():
