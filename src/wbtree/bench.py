@@ -161,8 +161,9 @@ class ExperimentSpec:
         if self.time_floor_ms < 0:
             raise ValueError("time-floor-ms must be >= 0")
         least = 10 if self.dist == "skewed" else 1
-        if self.universe is not None and self.universe < least:
-            raise ValueError(f"universe must be >= {least} for {self.dist}")
+        if self.universe is not None and not least <= self.universe <= 1 << 64:
+            raise ValueError(
+                f"universe must be in {least}..2**64 for {self.dist}")
         if self.dist == "zipf" and not 0 < self.zipf_s < float("inf"):
             raise ValueError("zipf-s must be positive and finite")
         if self.op_pairs is not None and self.op_pairs < 0:

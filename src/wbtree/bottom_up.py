@@ -54,13 +54,8 @@ class BottomUpTree(Tree):
 
     def delete(self, key) -> bool:
         nil = NIL
-        v = self.root
-        while v is not nil:
-            k = v.key
-            if key == k:
-                break
-            v = v.left if key < k else v.right
-        if v is nil:
+        v = self.search(key)
+        if v is None:
             sink = self.sink
             if sink is not None:
                 # Book the nodes the search visited; walking the path again

@@ -139,7 +139,7 @@ def _run(args) -> int:
             try:
                 with open(args.sequence, encoding="utf-8") as f:
                     text = f.read()
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 print(f"wbtree-bench: cannot read {args.sequence}: {e}",
                       file=sys.stderr)
                 return 3

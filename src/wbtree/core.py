@@ -1,4 +1,4 @@
-"""Node layout, rotations, and shared tree plumbing.
+"""Node layout, rotations, and the BST plumbing all three trees share.
 
 Weight convention: weight(v) = number of nodes in the subtree rooted at v,
 plus one. An empty subtree has weight 1, a leaf has weight 2, and
@@ -12,11 +12,17 @@ right subtree, so the maintained invariant is the weaker one — the in-order
 key sequence is non-decreasing (search still works: every run of equal keys
 is reachable by the usual three-way descent). Single-writer only; nothing
 here is safe for concurrent mutation.
+
+SearchTree (len, search, in-order keys) and the link edits link_left,
+link_right and splice_out read the tree's own sentinel, tree.nil, so the
+red-black baseline, which has a sentinel per tree, runs the same code.
+Weights, rotation booking and the predecessor relink are for the
+weight-balanced trees only.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .params import BalanceParams
 
@@ -43,8 +49,45 @@ NIL.right = NIL
 NIL.parent = NIL
 
 
-class Tree:
-    """Shared state and read-only operations for both rebalancing schemes.
+class SearchTree:
+    """Read-only operations shared by all three trees.
+
+    Empty children are the tree's own sentinel, self.nil: the shared NIL
+    for the weight-balanced trees, a per-tree one for the red-black tree.
+    """
+
+    def __len__(self):
+        return self.size
+
+    def search(self, key):
+        """First node with this key on the root-to-leaf path, else None."""
+        nil = self.nil
+        v = self.root
+        while v is not nil:
+            k = v.key
+            if key == k:
+                return v
+            v = v.left if key < k else v.right
+        return None
+
+    def inorder_keys(self) -> list:
+        nil = self.nil
+        out = []
+        push = out.append
+        stack = []
+        v = self.root
+        while stack or v is not nil:
+            while v is not nil:
+                stack.append(v)
+                v = v.left
+            v = stack.pop()
+            push(v.key)
+            v = v.right
+        return out
+
+
+class Tree(SearchTree):
+    """Shared state of both weight-balanced rebalancing schemes.
 
     Subclasses implement insert/delete.
     """
@@ -60,33 +103,6 @@ class Tree:
         self._dd = params.dd
         self._gn = params.gn
         self._gd = params.gd
-
-    def __len__(self):
-        return self.size
-
-    def search(self, key) -> Optional[Node]:
-        """First node with this key on the root-to-leaf path, else None."""
-        v = self.root
-        while v is not NIL:
-            k = v.key
-            if key == k:
-                return v
-            v = v.left if key < k else v.right
-        return None
-
-    def inorder_keys(self) -> list:
-        out = []
-        push = out.append
-        stack = []
-        v = self.root
-        while stack or v is not NIL:
-            while v is not NIL:
-                stack.append(v)
-                v = v.left
-            v = stack.pop()
-            push(v.key)
-            v = v.right
-        return out
 
     def inorder_nodes(self) -> Iterator[Node]:
         stack = []
@@ -142,14 +158,16 @@ def chain_length(v: Node) -> int:
     return n
 
 
-def splice_out(tree: Tree, v: Node) -> Node:
-    """Unlink v, which has at most one real child, lifting that child into
-    v's slot. Edits links only; returns v's old parent (NIL for the root),
-    the lowest node that lost a descendant."""
-    c = v.left if v.left is not NIL else v.right
+def splice_out(tree, v):
+    """Unlink v, which has at most one real child, lifting that child (the
+    sentinel if v has none) into v's slot and setting its parent even on
+    the sentinel. Edits links only; returns v's old parent (the sentinel
+    for the root), the lowest node that lost a descendant."""
+    nil = tree.nil
+    c = v.left if v.left is not nil else v.right
     p = v.parent
     c.parent = p
-    if p is NIL:
+    if p is nil:
         tree.root = c
     elif p.left is v:
         p.left = c
@@ -188,23 +206,19 @@ def relink_predecessor(tree: Tree, v: Node, u: Node) -> Node:
     return p
 
 
-def rotate_left(tree: Tree, v: Node) -> Node:
+def link_left(tree, v):
     """Raise v.right into v's position and return it.
 
-    Recomputes both weights. An attached metrics sink books one rotation
-    with v's weight from before the rotation; a double rotation is two
-    calls, inner pivot first.
+    Edits links only, for any tree with a root and a nil sentinel; the
+    inner grandchild's parent is set even when it is the sentinel.
     """
-    sink = tree.sink
-    if sink is not None:
-        sink.record_rotation(v.weight)
     r = v.right
     m = r.left
     v.right = m
     m.parent = v
     p = v.parent
     r.parent = p
-    if p is NIL:
+    if p is tree.nil:
         tree.root = r
     elif p.left is v:
         p.left = r
@@ -212,23 +226,18 @@ def rotate_left(tree: Tree, v: Node) -> Node:
         p.right = r
     r.left = v
     v.parent = r
-    v.weight = v.left.weight + m.weight
-    r.weight = v.weight + r.right.weight
     return r
 
 
-def rotate_right(tree: Tree, v: Node) -> Node:
-    """Mirror of rotate_left: raise v.left into v's position."""
-    sink = tree.sink
-    if sink is not None:
-        sink.record_rotation(v.weight)
+def link_right(tree, v):
+    """Mirror of link_left: raise v.left into v's position."""
     r = v.left
     m = r.right
     v.left = m
     m.parent = v
     p = v.parent
     r.parent = p
-    if p is NIL:
+    if p is tree.nil:
         tree.root = r
     elif p.left is v:
         p.left = r
@@ -236,7 +245,31 @@ def rotate_right(tree: Tree, v: Node) -> Node:
         p.right = r
     r.right = v
     v.parent = r
-    v.weight = m.weight + v.right.weight
+    return r
+
+
+def rotate_left(tree: Tree, v: Node) -> Node:
+    """Weight-balanced left rotation: link_left, then both weights.
+
+    An attached metrics sink books one rotation with v's weight from before
+    the rotation; a double rotation is two calls, inner pivot first.
+    """
+    sink = tree.sink
+    if sink is not None:
+        sink.record_rotation(v.weight)
+    r = link_left(tree, v)
+    v.weight = v.left.weight + v.right.weight
+    r.weight = v.weight + r.right.weight
+    return r
+
+
+def rotate_right(tree: Tree, v: Node) -> Node:
+    """Mirror of rotate_left: link_right, then both weights."""
+    sink = tree.sink
+    if sink is not None:
+        sink.record_rotation(v.weight)
+    r = link_right(tree, v)
+    v.weight = v.left.weight + v.right.weight
     r.weight = r.left.weight + v.weight
     return r
 

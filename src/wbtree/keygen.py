@@ -8,9 +8,9 @@ seed produces the same byte-for-byte stream on every platform and run.
 
 Derived quantities are pinned down so streams stay reproducible:
 
-* bounded draw below(n): rejection over the top of the 64-bit range
-  (limit = 2**64 - (2**64 % n); redraw while u >= limit; return u % n),
-  which is unbiased.
+* bounded draw below(n), 1 <= n <= 2**64: rejection over the top of the
+  64-bit range (limit = 2**64 - (2**64 % n); redraw while u >= limit;
+  return u % n), which is unbiased.
 * unit double float01(): top 53 bits scaled by 2**-53.
 * shuffles: Fisher-Yates from the top index down, j = below(i + 1).
 
@@ -70,9 +70,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Unbiased draw from [0, bound)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Unbiased draw from [0, bound), for bound in 1..2**64."""
+        if not 0 < bound <= 1 << 64:
+            # Above 2**64 the rejection limit is 0 and no draw is accepted.
+            raise ValueError("bound must be in 1..2**64")
         limit = (1 << 64) - ((1 << 64) % bound)
         u = self.next_u64()
         while u >= limit:

@@ -2,6 +2,8 @@
 
 Same multiset contract as the weight-balanced trees: equal keys descend
 left, search returns the first match on the path, delete removes one node.
+Search, the in-order walk, the rotation link edits and the one-child
+splice are core's, run on this tree's own sentinel.
 Nodes carry key, three links, and a color bit; there is no weight field, so
 when a metrics sink asks for rotation weights the pivot's subtree is counted
 on demand.
@@ -12,7 +14,7 @@ root-to-leaf path crosses the same number of black nodes.
 
 from __future__ import annotations
 
-from typing import Optional
+from .core import SearchTree, link_left, link_right, splice_out
 
 RED = True
 BLACK = False
@@ -33,7 +35,7 @@ class RbNode:
         return f"RbNode({self.key!r}, {color})"
 
 
-class RedBlackTree:
+class RedBlackTree(SearchTree):
 
     def __init__(self, sink=None):
         nil = RbNode(None, red=False)
@@ -44,9 +46,6 @@ class RedBlackTree:
         self.root = nil
         self.size = 0
         self.sink = sink
-
-    def __len__(self):
-        return self.size
 
     def clone(self) -> "RedBlackTree":
         """Structure- and color-preserving copy with fresh nodes."""
@@ -93,39 +92,13 @@ class RedBlackTree:
         sink = self.sink
         if sink is not None:
             sink.record_rotation(self._subtree_weight(v))
-        nil = self.nil
-        r = v.right
-        v.right = r.left
-        if r.left is not nil:
-            r.left.parent = v
-        r.parent = v.parent
-        if v.parent is nil:
-            self.root = r
-        elif v is v.parent.left:
-            v.parent.left = r
-        else:
-            v.parent.right = r
-        r.left = v
-        v.parent = r
+        link_left(self, v)
 
     def _rotate_right(self, v: RbNode):
         sink = self.sink
         if sink is not None:
             sink.record_rotation(self._subtree_weight(v))
-        nil = self.nil
-        l = v.left
-        v.left = l.right
-        if l.right is not nil:
-            l.right.parent = v
-        l.parent = v.parent
-        if v.parent is nil:
-            self.root = l
-        elif v is v.parent.right:
-            v.parent.right = l
-        else:
-            v.parent.left = l
-        l.right = v
-        v.parent = l
+        link_right(self, v)
 
     def insert(self, key) -> RbNode:
         nil = self.nil
@@ -181,16 +154,6 @@ class RedBlackTree:
                     self._rotate_left(g)
         self.root.red = False
 
-    def search(self, key) -> Optional[RbNode]:
-        nil = self.nil
-        v = self.root
-        while v is not nil:
-            k = v.key
-            if key == k:
-                return v
-            v = v.left if key < k else v.right
-        return None
-
     def _transplant(self, u: RbNode, v: RbNode):
         if u.parent is self.nil:
             self.root = v
@@ -200,12 +163,6 @@ class RedBlackTree:
             u.parent.right = v
         v.parent = u.parent
 
-    def _subtree_min(self, v: RbNode) -> RbNode:
-        nil = self.nil
-        while v.left is not nil:
-            v = v.left
-        return v
-
     def delete(self, key) -> bool:
         z = self.search(key)
         if z is None:
@@ -213,15 +170,14 @@ class RedBlackTree:
         nil = self.nil
         y = z
         y_was_red = y.red
-        if z.left is nil:
-            x = z.right
-            self._transplant(z, x)
-        elif z.right is nil:
-            x = z.left
-            self._transplant(z, x)
+        if z.left is nil or z.right is nil:
+            x = z.right if z.left is nil else z.left
+            splice_out(self, z)
         else:
             # Successor relink; node identity moves, keys stay put.
-            y = self._subtree_min(z.right)
+            y = z.right
+            while y.left is not nil:
+                y = y.left
             y_was_red = y.red
             x = y.right
             if y.parent is z:
@@ -237,7 +193,7 @@ class RedBlackTree:
         self.size -= 1
         if not y_was_red:
             self._delete_fixup(x)
-        # Transplant aims nil.parent at the splice point on purpose (the
+        # Both relinks aim nil.parent at the splice point on purpose (the
         # fixup starts there); undo it once the fixup is done.
         nil.parent = nil
         return True
@@ -288,20 +244,6 @@ class RedBlackTree:
                     self._rotate_right(p)
                     x = self.root
         x.red = False
-
-    def inorder_keys(self) -> list:
-        nil = self.nil
-        out = []
-        stack = []
-        v = self.root
-        while stack or v is not nil:
-            while v is not nil:
-                stack.append(v)
-                v = v.left
-            v = stack.pop()
-            out.append(v.key)
-            v = v.right
-        return out
 
 
 def audit(tree: RedBlackTree) -> list[str]:

@@ -80,12 +80,20 @@ def test_bad_spec_value_exit_one(capsys):
     ["insert-pct", "--dist", "zipf", "--zipf-s", "nan"],
     ["insert-pct", "--dist", "skewed", "--universe", "5"],
     ["violations", "--op-pairs", "-3"],
+    ["insert-pct", "--universe", str(2 ** 64 + 1)],
 ])
 def test_out_of_range_values_exit_one(argv, capsys):
     code, _, err = run(argv + TINY, capsys)
     assert code == 1
     assert "Traceback" not in err
     assert err.startswith("wbtree-bench: error:")
+
+
+def test_universe_of_two_to_the_64_is_accepted(capsys):
+    code, out, _ = run(["insert-pct", "--universe", str(2 ** 64)] + TINY,
+                       capsys)
+    assert code == 0
+    assert f",{2 ** 64}," in out
 
 
 def test_custom_params_accepted(capsys):
@@ -221,6 +229,16 @@ def test_replay_missing_file_exit_three(tmp_path, capsys):
     code, _, err = run(["replay", str(tmp_path / "nope.txt")], capsys)
     assert code == 3
     assert "cannot read" in err
+
+
+def test_replay_undecodable_file_exit_three(tmp_path, capsys):
+    seq = tmp_path / "latin1.txt"
+    seq.write_bytes(b"i 1\ni \xff\n")
+    code, out, err = run(["replay", str(seq)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"wbtree-bench: cannot read {seq}:")
+    assert err.count("\n") == 1
 
 
 def test_replay_parse_error_exit_three(tmp_path, capsys):

@@ -58,6 +58,29 @@ def test_below_handles_tiny_and_huge_bounds():
     assert 0 <= r.below(big) < big
 
 
+class CappedSplitMix64(SplitMix64):
+    """Fails after `left` draws instead of letting below() redraw forever."""
+
+    __slots__ = ("left",)
+
+    def next_u64(self):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("below() kept redrawing")
+        return super().next_u64()
+
+
+def test_below_rejects_bounds_above_two_to_the_64():
+    r = CappedSplitMix64(5)
+    r.left = 1000
+    for bound in ((1 << 64) + 1, 10 ** 23, -1):
+        with pytest.raises(ValueError):
+            r.below(bound)
+    assert r.left == 1000  # a rejected bound draws nothing
+    # At 2**64 every draw is accepted and returned as it is.
+    assert r.below(1 << 64) == SplitMix64(5).next_u64()
+
+
 def test_float01_range_and_golden():
     r = SplitMix64(42)
     vals = [r.float01() for _ in range(4)]
