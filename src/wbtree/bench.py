@@ -13,12 +13,14 @@ deviation across repetitions. Cells always run sequentially in a fixed
 order: rows are deterministic, and one interpreter lock means thread
 workers would only add timing noise.
 
-A cell (one variant, size and base tree: build, clones, timed phase,
-audit, scans and shape) runs with the automatic cyclic collector off.
-Trees are cyclic through their parent pointers, so only the collector
-frees them; left on, it would rescan every live tree hundreds of times per
-cell. Instead each dead clone is collected as the next rep starts, and one
-collection at the cell's end frees the rest of its trees.
+Every cell (one variant, size and base tree) goes through _cell: the
+build, the experiment's run (timed reps on clones, one churn pass, or
+sampled op-pairs; it scans the tree and fills the rows), one audit and the
+shape, all with the automatic cyclic collector off. Trees are cyclic
+through their parent pointers, so only the collector frees them; left on,
+it would rescan every live tree hundreds of times per cell. Instead each
+dead clone is collected as the next rep starts, and one collection at the
+cell's end frees the rest of its trees.
 """
 
 from __future__ import annotations
@@ -260,7 +262,8 @@ def _timed_reps(spec: ExperimentSpec, base_tree, phase):
     return durations, sink, t
 
 
-def _fill(spec: ExperimentSpec, vs: VariantSpec, size: int, **over) -> MetricsRecord:
+def _fill(spec: ExperimentSpec, vs: VariantSpec, size: int, sink,
+          **over) -> MetricsRecord:
     return MetricsRecord(
         experiment=spec.experiment,
         variant=vs.scheme,
@@ -270,6 +273,8 @@ def _fill(spec: ExperimentSpec, vs: VariantSpec, size: int, **over) -> MetricsRe
         zipf_s=spec.zipf_s if spec.dist == "zipf" else 0.0,
         base_size=size,
         seed=spec.seed,
+        rotation_count=sink.rotation_count,
+        rotated_weight_total=sink.rotated_weight_total,
         **over)
 
 
@@ -286,45 +291,57 @@ def _violations(vs: VariantSpec, tree) -> int:
 
 
 @_gc_quiet
-def _timed_cell(spec: ExperimentSpec, vs: VariantSpec, size: int, keys,
-                op: str, n_ops: int, phase, where: str):
-    """Build vs on keys and time phase on clones of it to the floor; audit,
-    summarize and scan the last rep's tree. Returns its row and its shape."""
-    durations, sink, final = _timed_reps(spec, _build(vs, keys), phase)
+def _cell(spec: ExperimentSpec, vs: VariantSpec, keys, run, where: str):
+    """Build vs on keys, let run(vs, tree) return (rows, final tree), audit
+    the final tree once. Returns the rows and the final tree's shape."""
+    rows, final = run(vs, _build(vs, keys))
     _audit_cell(vs, final, spec, where)
-    mean, std = summarize_ns(durations, n_ops)
-    row = _fill(
-        spec, vs, size, op=op, rep=len(durations), op_index=-1,
-        ops=n_ops, elapsed_ns=mean, elapsed_ns_std=std,
-        rotation_count=sink.rotation_count,
-        rotated_weight_total=sink.rotated_weight_total,
-        violation_count=_violations(vs, final),
-        avg_depth=average_depth(final))
-    return row, tree_shape(final)
+    return rows, tree_shape(final)
+
+
+def _grid(spec: ExperimentSpec, make_run) -> RunResult:
+    """Run one cell per size, base tree and variant, in that order.
+    make_run(size, ti, keys) gives the run all variants share there."""
+    spec.check()
+    rows, shapes = [], {}
+    for size in spec.sizes:
+        for ti in range(spec.base_trees):
+            keys = _base_keys(spec, size, ti)
+            run = make_run(size, ti, keys)
+            where = f"{spec.experiment} n={size} tree={ti}"
+            for vs in spec.variants:
+                cell_rows, shapes[(size, ti, vs.label)] = _cell(
+                    spec, vs, keys, run, where)
+                rows.extend(cell_rows)
+    return RunResult(rows, shapes)
+
+
+def _timed(spec: ExperimentSpec, size: int, op: str, n_ops: int, phase):
+    """A run that times phase on clones of the built tree to the floor and
+    scans the last rep's tree."""
+    def run(vs, base_tree):
+        durations, sink, final = _timed_reps(spec, base_tree, phase)
+        mean, std = summarize_ns(durations, n_ops)
+        return [_fill(spec, vs, size, sink, op=op, rep=len(durations),
+                      op_index=-1, ops=n_ops, elapsed_ns=mean,
+                      elapsed_ns_std=std, avg_depth=average_depth(final),
+                      violation_count=_violations(vs, final))], final
+    return run
 
 
 def _pct_rows(spec: ExperimentSpec, op: str, draw) -> RunResult:
     """Time ceil(5%) ops of one kind on each base tree. draw(size, ti,
     keys, m) gives the op keys, the same list for every variant."""
-    spec.check()
-    rows, shapes = [], {}
-    for size in spec.sizes:
+    def make_run(size, ti, keys):
         m = -(-size // 20)  # ceil(size / 20)
-        for ti in range(spec.base_trees):
-            keys = _base_keys(spec, size, ti)
-            batch = draw(size, ti, keys, m)
+        batch = draw(size, ti, keys, m)
 
-            def phase(t):
-                apply = t.insert if op == "insert" else t.delete
-                for k in batch:
-                    apply(k)
-
-            for vs in spec.variants:
-                row, shapes[(size, ti, vs.label)] = _timed_cell(
-                    spec, vs, size, keys, op, m, phase,
-                    f"{spec.experiment} n={size} tree={ti}")
-                rows.append(row)
-    return RunResult(rows, shapes)
+        def phase(t):
+            apply = t.insert if op == "insert" else t.delete
+            for k in batch:
+                apply(k)
+        return _timed(spec, size, op, m, phase)
+    return _grid(spec, make_run)
 
 
 def run_insert_pct(spec: ExperimentSpec) -> RunResult:
@@ -349,43 +366,29 @@ def run_erase_pct(spec: ExperimentSpec) -> RunResult:
 def run_depth_churn(spec: ExperimentSpec) -> RunResult:
     """Delete every original key and reinsert a fresh one; report depth.
 
-    One pass per cell (no repetition floor: the result of interest is the
-    final shape, which repetitions would just duplicate).
+    One pass per cell, on the built tree itself (no repetition floor: the
+    result of interest is the final shape, which repetitions would just
+    duplicate).
     """
-    spec.check()
-    rows, shapes = [], {}
-    for size in spec.sizes:
-        for ti in range(spec.base_trees):
-            keys = _base_keys(spec, size, ti)
-            repl = fresh_keys(spec.dist, size, spec.universe_for(size),
-                              derive_seed(spec.seed, size, ti, STREAM_CHURN),
-                              spec.zipf_s)
+    def make_run(size, ti, keys):
+        repl = fresh_keys(spec.dist, size, spec.universe_for(size),
+                          derive_seed(spec.seed, size, ti, STREAM_CHURN),
+                          spec.zipf_s)
 
-            @_gc_quiet
-            def cell(vs):
-                t = _build(vs, keys)
-                sink = MetricsSink()
-                t.sink = sink
-                ins, de = t.insert, t.delete
-                t0 = time.perf_counter_ns()
-                for old, new in zip(keys, repl):
-                    de(old)
-                    ins(new)
-                dt = time.perf_counter_ns() - t0
-                _audit_cell(vs, t, spec, f"depth-churn n={size} tree={ti}")
-                row = _fill(
-                    spec, vs, size, op="churn", rep=1, op_index=-1, ops=size,
-                    elapsed_ns=dt / size, elapsed_ns_std=0.0,
-                    rotation_count=sink.rotation_count,
-                    rotated_weight_total=sink.rotated_weight_total,
-                    violation_count=_violations(vs, t),
-                    avg_depth=average_depth(t))
-                return row, tree_shape(t)
-
-            for vs in spec.variants:
-                row, shapes[(size, ti, vs.label)] = cell(vs)
-                rows.append(row)
-    return RunResult(rows, shapes)
+        def run(vs, t):
+            t.sink = sink = MetricsSink()
+            ins, de = t.insert, t.delete
+            t0 = time.perf_counter_ns()
+            for old, new in zip(keys, repl):
+                de(old)
+                ins(new)
+            dt = time.perf_counter_ns() - t0
+            return [_fill(spec, vs, size, sink, op="churn", rep=1, ops=size,
+                          op_index=-1, elapsed_ns=dt / size,
+                          elapsed_ns_std=0.0, avg_depth=average_depth(t),
+                          violation_count=_violations(vs, t))], t
+        return run
+    return _grid(spec, make_run)
 
 
 def _churn_rows(spec: ExperimentSpec, want_violations: bool) -> RunResult:
@@ -395,50 +398,36 @@ def _churn_rows(spec: ExperimentSpec, want_violations: bool) -> RunResult:
     cell, emitting one row per sample interval with either the violation
     count or the cumulative rotation counters.
     """
-    spec.check()
-    rows, shapes = [], {}
-    for size in spec.sizes:
+    def make_run(size, ti, keys):
         pairs = spec.op_pairs if spec.op_pairs is not None else 2 * size
-        for ti in range(spec.base_trees):
-            keys = _base_keys(spec, size, ti)
-            repl = fresh_keys(spec.dist, pairs, spec.universe_for(size),
-                              derive_seed(spec.seed, size, ti, STREAM_CHURN),
-                              spec.zipf_s)
-            vic_seed = derive_seed(spec.seed, size, ti, STREAM_VICTIM)
+        repl = fresh_keys(spec.dist, pairs, spec.universe_for(size),
+                          derive_seed(spec.seed, size, ti, STREAM_CHURN),
+                          spec.zipf_s)
+        vic_seed = derive_seed(spec.seed, size, ti, STREAM_VICTIM)
 
-            @_gc_quiet
-            def cell(vs):
-                t = _build(vs, keys)
-                sink = MetricsSink()
-                t.sink = sink
-                rng = SplitMix64(vic_seed)
-                contents = list(keys)
-                ins, de = t.insert, t.delete
-                samples = []
-                done = 0
-                while done < pairs:
-                    stop = min(done + spec.sample_interval, pairs)
-                    for i in range(done, stop):
-                        de(_pop_uniform(rng.below, contents))
-                        k = repl[i]
-                        ins(k)
-                        contents.append(k)
-                    done = stop
-                    samples.append(_fill(
-                        spec, vs, size, op="pair", rep=1, op_index=done,
-                        ops=pairs,
-                        violation_count=(_violations(vs, t)
-                                         if want_violations else -1),
-                        rotation_count=sink.rotation_count,
-                        rotated_weight_total=sink.rotated_weight_total))
-                _audit_cell(vs, t, spec,
-                            f"{spec.experiment} n={size} tree={ti}")
-                return samples, tree_shape(t)
-
-            for vs in spec.variants:
-                samples, shapes[(size, ti, vs.label)] = cell(vs)
-                rows.extend(samples)
-    return RunResult(rows, shapes)
+        def run(vs, t):
+            t.sink = sink = MetricsSink()
+            rng = SplitMix64(vic_seed)
+            contents = list(keys)
+            ins, de = t.insert, t.delete
+            samples = []
+            done = 0
+            while done < pairs:
+                stop = min(done + spec.sample_interval, pairs)
+                for i in range(done, stop):
+                    de(_pop_uniform(rng.below, contents))
+                    k = repl[i]
+                    ins(k)
+                    contents.append(k)
+                done = stop
+                samples.append(_fill(
+                    spec, vs, size, sink, op="pair", rep=1, op_index=done,
+                    ops=pairs,
+                    violation_count=(_violations(vs, t)
+                                     if want_violations else -1)))
+            return samples, t
+        return run
+    return _grid(spec, make_run)
 
 
 def run_violations_over_time(spec: ExperimentSpec) -> RunResult:
@@ -494,11 +483,12 @@ def run_replay(spec: ExperimentSpec, ops: list[tuple[str, int]]) -> RunResult:
             else:
                 de(key)
 
+    run = _timed(spec, 0, "replay", len(ops), phase)
     rows, shapes = [], {}
     for vs in variants:
-        row, shapes[(0, 0, vs.label)] = _timed_cell(
-            spec, vs, 0, [], "replay", len(ops), phase, "replay")
-        rows.append(row)
+        cell_rows, shapes[(0, 0, vs.label)] = _cell(spec, vs, [], run,
+                                                    "replay")
+        rows.extend(cell_rows)
     base_mean = next(r.elapsed_ns for r in rows
                      if (r.variant, r.params) == _REPLAY_BASELINE)
     for r in rows:

@@ -22,8 +22,6 @@ weight-balanced trees only.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .params import BalanceParams
 
 
@@ -103,17 +101,6 @@ class Tree(SearchTree):
         self._dd = params.dd
         self._gn = params.gn
         self._gd = params.gd
-
-    def inorder_nodes(self) -> Iterator[Node]:
-        stack = []
-        v = self.root
-        while stack or v is not NIL:
-            while v is not NIL:
-                stack.append(v)
-                v = v.left
-            v = stack.pop()
-            yield v
-            v = v.right
 
     def clone(self) -> "Tree":
         """Structure-preserving copy with fresh nodes; no rebalancing runs."""
@@ -311,9 +298,3 @@ def structure_string(tree) -> str:
                 emit(f"({v.key} ")
                 push(l)
     return "".join(out)
-
-
-def dump(tree: Tree) -> str:
-    """Two-line debug dump: in-order key:weight pairs, then the shape."""
-    pairs = " ".join(f"{v.key}:{v.weight}" for v in tree.inorder_nodes())
-    return pairs + "\n" + structure_string(tree)

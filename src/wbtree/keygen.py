@@ -269,10 +269,3 @@ def fresh_keys(dist: str, n: int, universe: int, seed: int,
         return gen_uniform(n, max(universe, 1), seed).keys
     return generate(dist, n, universe, seed, s).keys
 
-
-def dump_workload(w: KeyWorkload) -> str:
-    head = (f"# dist={w.dist} n={w.n} U={w.universe} "
-            f"seed={w.seed} s={w.s:g}")
-    body = "\n".join(str(k) for k in w.keys)
-    return head + ("\n" + body if body else "") + "\n"
-

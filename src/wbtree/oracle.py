@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 
-from .params import BalanceParams, Mode
+from .params import BalanceParams
 
 
 class SortedMultisetOracle:
@@ -143,7 +143,7 @@ def audit_structure(tree) -> list[str]:
 
 def exact_balance_predicate(params: BalanceParams):
     """(wl, wr) -> bool in exact arithmetic; see the module docstring."""
-    if params.mode is Mode.REAL:  # classic, the only real-valued set
+    if isinstance(params.delta, float):  # classic, the only real-valued set
 
         def ok(wl: int, wr: int) -> bool:
             # wl*(1+sqrt 2) >= wr  <=>  wr - wl <= wl*sqrt 2; square the
@@ -155,7 +155,7 @@ def exact_balance_predicate(params: BalanceParams):
             return not (t > 0 and t * t > 2 * wr * wr)
 
         return ok
-    # Rational mode: delta = n/m exactly.
+    # A rational set: delta = n/m exactly.
     n, m = params.delta.as_integer_ratio()
 
     def ok(wl: int, wr: int) -> bool:

@@ -22,7 +22,6 @@ inequalities in exact arithmetic as the independent check.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,25 +33,19 @@ RatioOrReal = Union[int, float, Fraction]
 _CLASSIC = (1.0 + math.sqrt(2.0), math.sqrt(2.0))
 
 
-class Mode(enum.Enum):
-    RATIONAL = "rational"
-    REAL = "real"
-
-
 @dataclass(frozen=True, slots=True)
 class BalanceParams:
     """Immutable (delta, gamma) pair with precomputed comparison operands.
 
-    delta is stored as dn/dd and gamma as gn/gd. In rational mode the four
-    operands are ints and delta/gamma are Fractions; in real mode dn and gn
-    hold the double values and the denominators are 1.0, so the same
-    cross-multiplied expressions work for both modes. Build through
-    make_params, which checks the inputs.
+    delta is stored as dn/dd and gamma as gn/gd. In a rational set the four
+    operands are ints and delta/gamma are Fractions; in the real set
+    (classic) all of them are floats, dn and gn the double values and the
+    denominators 1.0, so the same cross-multiplied expressions work for
+    both. Build through make_params, which checks the inputs.
     """
 
     delta: RatioOrReal
     gamma: RatioOrReal
-    mode: Mode
     dn: int | float
     dd: int | float
     gn: int | float
@@ -62,23 +55,24 @@ class BalanceParams:
 def make_params(delta: RatioOrReal, gamma: RatioOrReal) -> BalanceParams:
     """Validate and build a BalanceParams.
 
-    Mode is rational when both inputs are exact rationals (int or Fraction).
-    The one real-valued pair is classic's <1+sqrt2, sqrt2> as doubles: it
-    is the only real set with an exact audit predicate and a name, so any
-    other float input raises ValueError.
+    The set is rational (delta and gamma are Fractions) when both inputs
+    are exact rationals (int or Fraction). The one real-valued pair is
+    classic's <1+sqrt2, sqrt2> as doubles: it is the only real set with an
+    exact audit predicate and a name, so any other float input raises
+    ValueError.
     """
     if isinstance(delta, float) or isinstance(gamma, float):
         if (delta, gamma) != _CLASSIC:
             raise ValueError("the only real-valued parameter set is "
                              "classic's <1+sqrt2, sqrt2>")
         d, g = _CLASSIC
-        return BalanceParams(d, g, Mode.REAL, d, 1.0, g, 1.0)
+        return BalanceParams(d, g, d, 1.0, g, 1.0)
     d = Fraction(delta)
     g = Fraction(gamma)
     if d < 1 or g < 1:
         raise ValueError("delta and gamma must both be >= 1")
-    return BalanceParams(d, g, Mode.RATIONAL, d.numerator, d.denominator,
-                         g.numerator, g.denominator)
+    return BalanceParams(d, g, d.numerator, d.denominator, g.numerator,
+                         g.denominator)
 
 
 # Canonical parameter sets. classic is the historical real-valued pair

@@ -26,7 +26,7 @@ from wbtree.bench import (
     run_violations_over_time,
 )
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import NIL, dump
+from wbtree.core import NIL
 from wbtree.keygen import (
     STREAM_BASE,
     STREAM_FRESH,
@@ -34,7 +34,6 @@ from wbtree.keygen import (
     STREAM_VICTIM,
     SplitMix64,
     derive_seed,
-    dump_workload,
     gen_uniform,
     generate,
 )
@@ -45,6 +44,8 @@ from wbtree.redblack import RedBlackTree
 from wbtree.redblack import audit as rb_audit
 from wbtree.top_down import TopDownTree
 
+from test_core import dump
+from test_keygen import dump_workload
 from test_oracle import apply_op
 
 ALL_PARAM_NAMES = ["classic", "integral", "topdown", "tight", "overtight"]

@@ -3,6 +3,7 @@ experiment drivers at toy sizes, replay, and result emission."""
 
 import csv
 import gc
+import inspect
 import json
 import re
 import sys
@@ -46,6 +47,17 @@ def tiny_spec(experiment, variants, **kw):
                 time_floor_ms=0)
     base.update(kw)
     return ExperimentSpec(experiment=experiment, variants=variants, **base)
+
+
+REPLAY_OPS = ([("i", k) for k in range(60)]
+              + [("d", k) for k in range(0, 90, 4)])
+
+
+def run_experiment(spec):
+    """Run spec through its runner; replay gets REPLAY_OPS."""
+    if spec.experiment == "replay":
+        return run_replay(spec, REPLAY_OPS)
+    return RUNNERS[spec.experiment](spec)
 
 
 # --- variant specs ---------------------------------------------------------
@@ -167,7 +179,8 @@ def test_insert_pct_rows():
         assert len(keys_of(shape)) == 42
 
 
-def test_each_audited_cell_makes_one_audit_call(monkeypatch):
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_audited_cell_makes_one_audit_call(monkeypatch, experiment):
     calls = []
     for name in ("audit_structure", "audit_balance", "rb_audit"):
         audit = getattr(bench, name)
@@ -176,28 +189,37 @@ def test_each_audited_cell_makes_one_audit_call(monkeypatch):
             lambda tree, name=name, audit=audit: calls.append(name) or audit(tree))
     variants = expand_variants(["bottom_up", "top_down", "redblack"],
                                ["classic", "integral", "topdown"])
-    run_insert_pct(tiny_spec("insert-pct", variants, audit=True))
-    # 7 variants x 2 trees; the three sound WBT pairings get audit_balance,
-    # which includes the structure checks.
-    assert len(calls) == 7 * 2
+    run_experiment(tiny_spec(experiment, variants, audit=True, op_pairs=30,
+                             sample_interval=8))
+    # 7 variants x 2 trees (replay: one empty tree); the three sound WBT
+    # pairings get audit_balance, which includes the structure checks.
+    cells = 1 if experiment == "replay" else 2
+    assert len(calls) == 7 * cells
     assert (calls.count("audit_balance"), calls.count("audit_structure"),
-            calls.count("rb_audit")) == (3 * 2, 3 * 2, 2)
+            calls.count("rb_audit")) == (3 * cells, 3 * cells, cells)
 
 
-def test_timed_cells_leave_no_trees_behind():
-    # Several reps per cell, each on a fresh clone; the run must free every
-    # clone and base tree it made, not leave them for a later collection.
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_timed_cells_leave_no_trees_behind(experiment):
+    # Timed cells run several reps, each on a fresh clone; every cell must
+    # free each clone and base tree it made, not leave them for a later
+    # collection. The automatic collector stays off, so none runs.
     def live_nodes():
         return sum(1 for o in gc.get_objects() if type(o) in (Node, RbNode))
 
     gc.collect()
     before = live_nodes()
-    spec = tiny_spec("insert-pct", expand_variants(
+    spec = tiny_spec(experiment, expand_variants(
         ["bottom_up", "top_down", "redblack"], ["integral"]),
-        sizes=[2000], base_trees=2, time_floor_ms=50)
-    res = run_insert_pct(spec)
-    assert all(r.rep > 1 for r in res.rows)
-    assert live_nodes() == before
+        sizes=[2000], base_trees=2, time_floor_ms=50, op_pairs=500)
+    gc.disable()
+    try:
+        res = run_experiment(spec)
+        assert live_nodes() == before
+    finally:
+        gc.enable()
+    if experiment in ("insert-pct", "erase-pct", "replay"):
+        assert all(r.rep > 1 for r in res.rows)
 
 
 def test_erase_pct_shares_victims():
@@ -395,3 +417,29 @@ def test_traced_benchmark_references_resolve():
     missing = [(owner, attr) for owner, attr in refs
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+    # ... and calls _timed_reps(spec, base_tree, phase) positionally.
+    params = inspect.signature(bench._timed_reps).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        for name in ("spec", "base_tree", "phase")]
+
+
+@pytest.mark.parametrize("vs", expand_variants(
+    ["bottom_up", "top_down", "redblack"], list(PARAM_SETS)),
+    ids=lambda vs: vs.label)
+def test_nan_keys_leave_every_variant_sound(vs):
+    # Keys must be totally ordered. NaN is not: the tree stays sound and
+    # counts it, but never finds it, and in-order order is undefined.
+    nan = float("nan")
+    t = vs.make_tree()
+    for k in [5, nan, 3, 8, nan, 1, 9, 4, nan, 7, 2, 6] + list(range(10, 60)):
+        t.insert(k)
+    spec = tiny_spec("insert-pct", [vs], audit=True)
+    bench._audit_cell(vs, t, spec, "after NaN inserts")
+    assert len(t) == 62
+    assert t.search(nan) is None
+    assert t.delete(nan) is False
+    for k in range(60):
+        t.delete(k)
+    bench._audit_cell(vs, t, spec, "after deletes")
+    assert sum(k != k for k in t.inorder_keys()) == 3

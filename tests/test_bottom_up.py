@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import NIL, Node, dump
+from wbtree.core import NIL, Node
 from wbtree.metrics import MetricsSink, count_violations, max_depth
 from wbtree.oracle import SortedMultisetOracle, audit_balance, audit_structure
 from wbtree.params import PARAM_SETS, make_params
+
+from test_core import dump
 
 
 def grown(keys, params=PARAM_SETS["integral"], sink=None):

@@ -6,7 +6,6 @@ from wbtree.core import (
     NIL,
     Node,
     Tree,
-    dump,
     relink_predecessor,
     rotate_left,
     rotate_right,
@@ -40,6 +39,22 @@ def tree_of(shape, params=PARAM_SETS["integral"]):
     t.root = build(shape)
     t.size = 0 if t.root is NIL else t.root.weight - 1
     return t
+
+
+def dump(t) -> str:
+    """Two-line debug dump of a weight-balanced tree: in-order key:weight
+    pairs, then the shape."""
+    pairs = []
+    stack = []
+    v = t.root
+    while stack or v is not NIL:
+        while v is not NIL:
+            stack.append(v)
+            v = v.left
+        v = stack.pop()
+        pairs.append(f"{v.key}:{v.weight}")
+        v = v.right
+    return " ".join(pairs) + "\n" + structure_string(t)
 
 
 def test_nil_sentinel_shape():

@@ -4,24 +4,37 @@ baseline.
 A run is 600 seeded ops (55% inserts, the rest deletes, so duplicates and
 absent keys occur) over one key universe, then deletes of every other
 distinct key inserted. For the weight-balanced trees one sha256 covers, for
-every run, the final `core.dump`, the sink's `rotation_count`,
+every run, the final `dump` (tests/test_core.py), the sink's `rotation_count`,
 `rotated_weight_total` and `touch_count`, and the return value of every
 delete. For the red-black tree a second one covers the final shape, its
 colours in pre-order, the size, both rotation counters, every delete result
 and whether each key below min(universe, 300) is found. A change to a hot
 loop that alters no shape, weight, colour, rotation, touch or delete result
 leaves the digests as they are; anything else moves them.
+
+A third digest covers the harness: every row (less its timing columns) and
+every final shape of the five grid experiments and of a mixed replay, over
+all 11 variants with the audit on, at toy sizes and no time floor.
 """
 
 import hashlib
 import random
 
+from wbtree.bench import (
+    DISTS,
+    RUNNERS,
+    ExperimentSpec,
+    expand_variants,
+    run_replay,
+)
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import dump, structure_string
-from wbtree.metrics import MetricsSink
+from wbtree.core import structure_string
+from wbtree.metrics import CSV_COLUMNS, MetricsSink
 from wbtree.params import params_from_name
 from wbtree.redblack import RedBlackTree
 from wbtree.top_down import TopDownTree
+
+from test_core import dump
 
 SCHEMES = {"top_down": TopDownTree, "bottom_up": BottomUpTree}
 PARAMS = ("classic", "integral", "topdown", "tight", "overtight",
@@ -34,6 +47,11 @@ INSERT_SHARE = 0.55
 GOLDEN = "32c6250aa671176971370ae14a708c2793ad6d5a346120d97aaf73ce9e68a298"
 GOLDEN_REDBLACK = (
     "d5c00f70d7c5264d70e86118ce1619a3062b7b779f35e2e829ffe90e76c62c7c")
+GOLDEN_HARNESS = (
+    "9670493f61abb99f0c083816736e1150ec74689da2e95719acc5c281156e8314")
+
+# Columns that hold wall-clock time; every other column is deterministic.
+TIMING_COLUMNS = ("elapsed_ns", "elapsed_ns_std", "normalized_elapsed")
 
 
 def drive(t, universe, seed) -> str:
@@ -103,3 +121,34 @@ def test_redblack_shapes_colours_counters_and_results_match_the_golden_digest():
             h.update(f"redblack {universe} {seed}\n".encode())
             h.update(run_redblack(universe, seed).encode())
     assert h.hexdigest() == GOLDEN_REDBLACK
+
+
+def harness_text(res) -> str:
+    keep = [i for i, c in enumerate(CSV_COLUMNS) if c not in TIMING_COLUMNS]
+    rows = "".join(",".join(r.to_row()[i] for i in keep) + "\n"
+                   for r in res.rows)
+    shapes = "".join(f"{cell} {shape}\n" for cell, shape in res.shapes.items())
+    return rows + shapes
+
+
+def test_harness_rows_and_shapes_match_the_golden_digest():
+    variants = expand_variants(["bottom_up", "top_down", "redblack"],
+                               PARAMS[:5])
+    assert len(variants) == 11
+    rng = random.Random(9)
+    replay_ops = [("i" if rng.random() < INSERT_SHARE else "d",
+                   rng.randrange(60)) for _ in range(300)]
+    h = hashlib.sha256()
+    for dist in DISTS:
+        for name, runner in RUNNERS.items():
+            spec = ExperimentSpec(
+                experiment=name, variants=variants, dist=dist,
+                sizes=[30, 61], base_trees=2, seed=5, time_floor_ms=0,
+                sample_interval=40, op_pairs=90, audit=True)
+            h.update(f"{dist} {name}\n".encode())
+            h.update(harness_text(runner(spec)).encode())
+    spec = ExperimentSpec(experiment="replay", variants=variants,
+                          time_floor_ms=0, audit=True)
+    h.update(b"replay\n")
+    h.update(harness_text(run_replay(spec, replay_ops)).encode())
+    assert h.hexdigest() == GOLDEN_HARNESS

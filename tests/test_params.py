@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from wbtree.bench import VariantSpec
 from wbtree.params import (
     PARAM_SETS,
-    Mode,
     make_params,
     param_set_name,
     params_from_name,
@@ -15,7 +14,7 @@ from wbtree.params import (
 
 def test_rational_mode_keeps_integer_operands():
     p = make_params(3, 2)
-    assert p.mode is Mode.RATIONAL
+    assert isinstance(p.delta, Fraction)
     assert (p.dn, p.dd) == (3, 1)
     assert (p.gn, p.gd) == (2, 1)
     assert isinstance(p.dn, int)
@@ -25,7 +24,7 @@ def test_rational_mode_keeps_integer_operands():
 
 def test_fractional_rational_params():
     p = make_params(Fraction(3, 2), Fraction(5, 4))
-    assert p.mode is Mode.RATIONAL
+    assert isinstance(p.delta, Fraction)
     assert (p.dn, p.dd) == (3, 2)
     assert (p.gn, p.gd) == (5, 4)
 
@@ -34,7 +33,7 @@ def test_real_mode_from_floats():
     d = 1 + 2 ** 0.5
     g = 2 ** 0.5
     p = make_params(d, g)
-    assert p.mode is Mode.REAL
+    assert isinstance(p.delta, float)
     assert p.dn == d and p.dd == 1.0
     assert p.gn == g and p.gd == 1.0
 
@@ -72,7 +71,7 @@ def test_equality_is_by_value():
 
 def test_canonical_sets_present_with_expected_operands():
     assert set(PARAM_SETS) == {"classic", "integral", "topdown", "tight", "overtight"}
-    assert PARAM_SETS["classic"].mode is Mode.REAL
+    assert isinstance(PARAM_SETS["classic"].delta, float)
     assert PARAM_SETS["classic"].delta == pytest.approx(1 + 2 ** 0.5)
     assert PARAM_SETS["classic"].gamma == pytest.approx(2 ** 0.5)
     assert (PARAM_SETS["integral"].dn, PARAM_SETS["integral"].gn) == (3, 2)
@@ -110,7 +109,7 @@ def test_params_from_name_canonical():
 
 def test_params_from_name_custom():
     p = params_from_name("custom:5/2:7/5")
-    assert p.mode is Mode.RATIONAL
+    assert isinstance(p.delta, Fraction)
     assert (p.dn, p.dd, p.gn, p.gd) == (5, 2, 7, 5)
 
 

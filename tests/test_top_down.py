@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import NIL, Node, chain_length, dump, structure_string
+from wbtree.core import NIL, Node, chain_length, structure_string
 from wbtree.metrics import MetricsSink, count_violations, max_depth
 from wbtree.oracle import SortedMultisetOracle, audit_balance, audit_structure
 from wbtree.params import PARAM_SETS
 from wbtree.redblack import RedBlackTree
 from wbtree.redblack import audit as rb_audit
 from wbtree.top_down import TopDownTree
+
+from test_core import dump
 
 
 def grown(keys, params=PARAM_SETS["topdown"], sink=None):
