@@ -15,12 +15,13 @@ workers would only add timing noise.
 
 Every cell (one variant, size and base tree) goes through _cell: the
 build, the experiment's run (timed reps on clones, one churn pass, or
-sampled op-pairs; it scans the tree and fills the rows), one audit and the
-shape, all with the automatic cyclic collector off. Trees are cyclic
-through their parent pointers, so only the collector frees them; left on,
-it would rescan every live tree hundreds of times per cell. Instead each
-dead clone is collected as the next rep starts, and one collection at the
-cell's end frees the rest of its trees.
+sampled op-pairs; it scans the tree and fills the rows) and one audit, all
+with the automatic cyclic collector off. Bottom-up and red-black trees are
+cyclic through their parent pointers, so only the collector frees them;
+left on, it would rescan every live tree hundreds of times per cell.
+Instead each dead clone is collected as the next rep starts, and one
+collection at the cell's end frees the rest of its trees. Top-down trees
+keep no parent links and are freed as soon as they are dropped.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ import time
 from dataclasses import dataclass, field
 
 from .bottom_up import BottomUpTree
-from .core import structure_string as tree_shape
+# The cells compute no shapes; tree_shape stays here for callers that
+# compare a run's final trees.
+from .core import structure_string as tree_shape  # noqa: F401
 from .keygen import (
     STREAM_BASE,
     STREAM_CHURN,
@@ -181,11 +184,9 @@ class ExperimentSpec:
 
 @dataclass
 class RunResult:
-    """Rows for emission plus final tree shapes keyed by cell, for
-    determinism checks; timings live only in the rows."""
+    """Rows for emission, in cell order."""
 
     rows: list[MetricsRecord]
-    shapes: dict[tuple, str]
 
 
 def _base_keys(spec: ExperimentSpec, size: int, tree_idx: int) -> list[int]:
@@ -217,15 +218,15 @@ def _audit_cell(vs: VariantSpec, tree, spec: ExperimentSpec, where: str):
 
 def _gc_quiet(cell):
     """Run a harness cell with the automatic collector off, then collect
-    once to free its trees; the collector's state is restored however the
-    cell exits."""
+    once to free its bottom-up and red-black trees, the cyclic ones; the
+    collector's state is restored however the cell exits."""
     @functools.wraps(cell)
     def quiet(*args):
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             out = cell(*args)
-            # The cell's frame is gone, so its trees are unreachable cycles.
+            # The cell's frame is gone, so its cyclic trees are unreachable.
             # Its objects are young: the collector was off, and only
             # _timed_reps' generation-0 collections ran, which move
             # survivors to generation 1. So collecting generation 1 frees
@@ -293,27 +294,25 @@ def _violations(vs: VariantSpec, tree) -> int:
 @_gc_quiet
 def _cell(spec: ExperimentSpec, vs: VariantSpec, keys, run, where: str):
     """Build vs on keys, let run(vs, tree) return (rows, final tree), audit
-    the final tree once. Returns the rows and the final tree's shape."""
+    the final tree once. Returns the rows."""
     rows, final = run(vs, _build(vs, keys))
     _audit_cell(vs, final, spec, where)
-    return rows, tree_shape(final)
+    return rows
 
 
 def _grid(spec: ExperimentSpec, make_run) -> RunResult:
     """Run one cell per size, base tree and variant, in that order.
     make_run(size, ti, keys) gives the run all variants share there."""
     spec.check()
-    rows, shapes = [], {}
+    rows = []
     for size in spec.sizes:
         for ti in range(spec.base_trees):
             keys = _base_keys(spec, size, ti)
             run = make_run(size, ti, keys)
             where = f"{spec.experiment} n={size} tree={ti}"
             for vs in spec.variants:
-                cell_rows, shapes[(size, ti, vs.label)] = _cell(
-                    spec, vs, keys, run, where)
-                rows.extend(cell_rows)
-    return RunResult(rows, shapes)
+                rows.extend(_cell(spec, vs, keys, run, where))
+    return RunResult(rows)
 
 
 def _timed(spec: ExperimentSpec, size: int, op: str, n_ops: int, phase):
@@ -484,17 +483,15 @@ def run_replay(spec: ExperimentSpec, ops: list[tuple[str, int]]) -> RunResult:
                 de(key)
 
     run = _timed(spec, 0, "replay", len(ops), phase)
-    rows, shapes = [], {}
+    rows = []
     for vs in variants:
-        cell_rows, shapes[(0, 0, vs.label)] = _cell(spec, vs, [], run,
-                                                    "replay")
-        rows.extend(cell_rows)
+        rows.extend(_cell(spec, vs, [], run, "replay"))
     base_mean = next(r.elapsed_ns for r in rows
                      if (r.variant, r.params) == _REPLAY_BASELINE)
     for r in rows:
         r.normalized_elapsed = (r.elapsed_ns / base_mean if base_mean > 0
                                 else -1.0)
-    return RunResult(rows, shapes)
+    return RunResult(rows)
 
 
 def emit_results(rows: list[MetricsRecord], fmt: str, path: str | None):

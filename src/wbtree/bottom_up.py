@@ -1,13 +1,15 @@
 """Two-pass weight-balanced tree: plain BST edit, then repair on the way up.
 
 The downward pass finds the edit point exactly as an unbalanced BST would.
-A delete then unlinks its node with one of core's link edits: splice_out
-for a node with at most one child, relink_predecessor for one with two.
-Both return the lowest node that lost a descendant, where the upward pass
-starts. That pass walks the ancestor chain to the root, refreshing each
-node's weight from its children and repairing any overhang with a single
-or double rotation chosen by the gamma test. Every ancestor is re-checked;
-deletions can push imbalance arbitrarily far up, so there is no early exit.
+A delete then unlinks its node with one of core's link edits, through its
+parent-writing wrapper: linked_splice_out for a node with at most one
+child, linked_relink_predecessor for one with two. Both return the lowest
+node that lost a descendant, where the upward pass starts. That pass
+walks the ancestor chain to the root, refreshing each node's weight from
+its children and repairing any overhang with a single or double rotation
+chosen by the gamma test; every rotation goes through core's linked_
+wrappers. Every ancestor is re-checked; deletions can push imbalance
+arbitrarily far up, so there is no early exit.
 
 Neither pass keeps a counter. With a metrics sink attached, an op books its
 node touches once, before the upward pass, from the length of the parent
@@ -17,17 +19,21 @@ twice, once going down and once coming up, plus one.
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, chain_length, relink_predecessor,
-                   rotate_left, rotate_right, splice_out, subtree_maximum)
+from .core import (NIL, LinkedNode, Tree, chain_length, linked_left,
+                   linked_relink_predecessor, linked_right, linked_splice_out,
+                   rotate_left, rotate_right, subtree_maximum)
 
 
 class BottomUpTree(Tree):
 
-    def insert(self, key) -> Node:
+    node = LinkedNode
+
+    def insert(self, key) -> LinkedNode:
         nil = NIL
         v = self.root
-        node = Node(key, nil, nil, nil, 2)
+        node = LinkedNode(key, nil, nil, 2)
         if v is nil:
+            node.parent = nil
             self.root = node
             self.size = 1
             return node
@@ -69,10 +75,11 @@ class BottomUpTree(Tree):
         if v.left is not nil and v.right is not nil:
             # Relink the predecessor (max of the left subtree) into v's
             # position; the upward pass refreshes the weights it left stale.
-            low = relink_predecessor(self, v, subtree_maximum(v.left))
+            low = linked_relink_predecessor(self, v,
+                                            subtree_maximum(v.left))
             touches = 3
         else:
-            low = splice_out(self, v)
+            low = linked_splice_out(self, v)
             touches = 1
         self.size -= 1
         sink = self.sink
@@ -81,7 +88,7 @@ class BottomUpTree(Tree):
         self._repair_upward(low)
         return True
 
-    def _repair_upward(self, start: Node):
+    def _repair_upward(self, start: LinkedNode):
         """Refresh weights and fix overhangs from start to the root."""
         nil = NIL
         dn = self._dn
@@ -106,13 +113,13 @@ class BottomUpTree(Tree):
                 # rotate the shared sentinel.
                 m = r.left
                 if m is not nil and m.weight * gd >= r.right.weight * gn:
-                    rotate_right(self, r)
-                rotate_left(self, v)
+                    linked_right(rotate_right, self, r)
+                linked_left(rotate_left, self, v)
             elif wr * dn < wl * dd:
                 m = l.right
                 if m is not nil and m.weight * gd >= l.left.weight * gn:
-                    rotate_left(self, l)
-                rotate_right(self, v)
+                    linked_left(rotate_left, self, l)
+                linked_right(rotate_right, self, v)
             v = parent
         # Splices and rotations may aim the sentinel's parent at real nodes;
         # re-loop it so the tree rests with the sentinel self-looped.

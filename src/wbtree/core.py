@@ -1,23 +1,30 @@
-"""Node layout, rotations, and the BST plumbing all three trees share.
+"""Node layouts, rotations, and the BST plumbing all three trees share.
 
 Weight convention: weight(v) = number of nodes in the subtree rooted at v,
 plus one. An empty subtree has weight 1, a leaf has weight 2, and
 weight(v) = weight(left(v)) + weight(right(v)) holds at every node.
 
+Two node layouts: Node (key, left, right, weight) for the top-down tree,
+which rebalances on the way down and never climbs back, and LinkedNode,
+which adds a parent link for the bottom-up tree's upward pass. Only the
+parent-linked trees (bottom-up, and the red-black baseline with its own
+node class) are cyclic; a top-down tree is freed by reference counting.
+
 Empty children are the shared NIL sentinel, which carries weight 1 so weight
-reads never branch. NIL's parent field is scratch space; rotations and link
-edits may write it and nothing ever reads it. Trees are multisets: insertion
-sends equal keys left, but a rotation can later carry an equal key into a
-right subtree, so the maintained invariant is the weaker one — the in-order
-key sequence is non-decreasing (search still works: every run of equal keys
-is reachable by the usual three-way descent). Single-writer only; nothing
-here is safe for concurrent mutation.
+reads never branch. NIL's parent field is scratch space; the linked_
+wrappers may write it and nothing ever reads it. Trees are multisets:
+insertion sends equal keys left, but a rotation can later carry an equal
+key into a right subtree, so the maintained invariant is the weaker one —
+the in-order key sequence is non-decreasing (search still works: every run
+of equal keys is reachable by the usual three-way descent). Single-writer
+only; nothing here is safe for concurrent mutation.
 
 SearchTree (len, search, in-order keys) and the link edits link_left,
 link_right and splice_out read the tree's own sentinel, tree.nil, so the
 red-black baseline, which has a sentinel per tree, runs the same code.
-Weights, rotation booking and the predecessor relink are for the
-weight-balanced trees only.
+Every link edit exists once and writes no parent field; the linked_
+wrappers add the parent writes. Weights, rotation booking and the
+predecessor relink are for the weight-balanced trees only.
 """
 
 from __future__ import annotations
@@ -26,22 +33,34 @@ from .params import BalanceParams
 
 
 class Node:
-    __slots__ = ("key", "left", "right", "parent", "weight")
+    """A weight-balanced node: key, two children and the subtree weight.
 
-    def __init__(self, key, left=None, right=None, parent=None, weight=2):
+    The top-down tree never climbs back up, so its nodes carry no parent.
+    """
+
+    __slots__ = ("key", "left", "right", "weight")
+
+    def __init__(self, key, left=None, right=None, weight=2):
         self.key = key
         self.left = left
         self.right = right
-        self.parent = parent
         self.weight = weight
 
     def __repr__(self):
         return f"Node(key={self.key!r}, weight={self.weight})"
 
 
+class LinkedNode(Node):
+    """A Node with a parent link, for the bottom-up tree's upward pass.
+    The constructor is Node's; whoever builds one sets its parent."""
+
+    __slots__ = ("parent",)
+
+
 # Shared empty-subtree sentinel. Its children self-loop so a traversal bug
-# spins instead of raising on None, which is easier to catch in tests.
-NIL = Node(None, weight=1)
+# spins instead of raising on None, which is easier to catch in tests. It is
+# a LinkedNode so that the bottom-up tree's parent writes may land on it.
+NIL = LinkedNode(None, weight=1)
 NIL.left = NIL
 NIL.right = NIL
 NIL.parent = NIL
@@ -87,10 +106,12 @@ class SearchTree:
 class Tree(SearchTree):
     """Shared state of both weight-balanced rebalancing schemes.
 
-    Subclasses implement insert/delete.
+    Subclasses implement insert/delete and name their node class, which
+    clone copies: Node, or LinkedNode for a tree that keeps parent links.
     """
 
     nil = NIL
+    node = Node
 
     def __init__(self, params: BalanceParams, sink=None):
         self.root = NIL
@@ -99,6 +120,7 @@ class Tree(SearchTree):
         self.sink = sink
         self._dn = params.dn
         self._dd = params.dd
+        self._ds = params.dn + params.dd  # for the top-down overload tests
         self._gn = params.gn
         self._gd = params.gd
 
@@ -109,7 +131,11 @@ class Tree(SearchTree):
         src = self.root
         if src is NIL:
             return dup
-        top = Node(src.key, NIL, NIL, NIL, src.weight)
+        make = self.node
+        linked = issubclass(make, LinkedNode)
+        top = make(src.key, NIL, NIL, src.weight)
+        if linked:
+            top.parent = NIL
         dup.root = top
         stack = [(src, top)]
         pop = stack.pop
@@ -118,12 +144,16 @@ class Tree(SearchTree):
             old, new = pop()
             ol = old.left
             if ol is not NIL:
-                c = Node(ol.key, NIL, NIL, new, ol.weight)
+                c = make(ol.key, NIL, NIL, ol.weight)
+                if linked:
+                    c.parent = new
                 new.left = c
                 push((ol, c))
             orr = old.right
             if orr is not NIL:
-                c = Node(orr.key, NIL, NIL, new, orr.weight)
+                c = make(orr.key, NIL, NIL, orr.weight)
+                if linked:
+                    c.parent = new
                 new.right = c
                 push((orr, c))
         return dup
@@ -136,7 +166,7 @@ def subtree_maximum(v: Node) -> Node:
     return v
 
 
-def chain_length(v: Node) -> int:
+def chain_length(v: LinkedNode) -> int:
     """Nodes from v up to the root, both included; 0 for NIL."""
     n = 0
     while v is not NIL:
@@ -145,66 +175,58 @@ def chain_length(v: Node) -> int:
     return n
 
 
-def splice_out(tree, v):
+# The link edits. Each takes the parent p of the node it unlinks or lowers
+# (the sentinel for the root), edits child links only and writes no parent
+# field, so the parent-free top-down tree runs them as they are. A tree whose
+# nodes carry parent links runs each through its linked_ wrapper below,
+# which reads p from v and writes the parent fields the edit moved.
+
+def splice_out(tree, v, p):
     """Unlink v, which has at most one real child, lifting that child (the
-    sentinel if v has none) into v's slot and setting its parent even on
-    the sentinel. Edits links only; returns v's old parent (the sentinel
-    for the root), the lowest node that lost a descendant."""
+    sentinel if v has none) into v's slot under p. Returns the lifted
+    child."""
     nil = tree.nil
     c = v.left if v.left is not nil else v.right
-    p = v.parent
-    c.parent = p
     if p is nil:
         tree.root = c
     elif p.left is v:
         p.left = c
     else:
         p.right = c
-    return p
+    return c
 
 
-def relink_predecessor(tree: Tree, v: Node, u: Node) -> Node:
-    """Move u, the rightmost node of v's left subtree, into v's position.
+def relink_predecessor(tree: Tree, v: Node, g: Node, u: Node,
+                       up: Node) -> Node:
+    """Move u, the rightmost node of v's left subtree, into v's position
+    under g; up is u's parent.
 
     u's left child takes u's old slot, and u adopts v's subtrees (keeping
     its own left one when u is v.left). Edits links only; returns the
-    lowest node that lost a descendant: u's old parent, or u itself when
-    u was v.left.
+    lowest node that lost a descendant: up, or u itself when u was v.left.
     """
-    p = u.parent
-    if p is v:
-        p = u
+    if up is v:
+        up = u
     else:
-        lu = u.left
-        p.right = lu
-        lu.parent = p
+        up.right = u.left
         u.left = v.left
-        v.left.parent = u
     u.right = v.right
-    v.right.parent = u
-    g = v.parent
-    u.parent = g
     if g is NIL:
         tree.root = u
     elif g.left is v:
         g.left = u
     else:
         g.right = u
-    return p
+    return up
 
 
-def link_left(tree, v):
-    """Raise v.right into v's position and return it.
+def link_left(tree, v, p):
+    """Raise v.right into v's position under p and return it.
 
-    Edits links only, for any tree with a root and a nil sentinel; the
-    inner grandchild's parent is set even when it is the sentinel.
+    Edits links only, for any tree with a root and a nil sentinel.
     """
     r = v.right
-    m = r.left
-    v.right = m
-    m.parent = v
-    p = v.parent
-    r.parent = p
+    v.right = r.left
     if p is tree.nil:
         tree.root = r
     elif p.left is v:
@@ -212,18 +234,13 @@ def link_left(tree, v):
     else:
         p.right = r
     r.left = v
-    v.parent = r
     return r
 
 
-def link_right(tree, v):
-    """Mirror of link_left: raise v.left into v's position."""
+def link_right(tree, v, p):
+    """Mirror of link_left: raise v.left into v's position under p."""
     r = v.left
-    m = r.right
-    v.left = m
-    m.parent = v
-    p = v.parent
-    r.parent = p
+    v.left = r.right
     if p is tree.nil:
         tree.root = r
     elif p.left is v:
@@ -231,11 +248,10 @@ def link_right(tree, v):
     else:
         p.right = r
     r.right = v
-    v.parent = r
     return r
 
 
-def rotate_left(tree: Tree, v: Node) -> Node:
+def rotate_left(tree: Tree, v: Node, p: Node) -> Node:
     """Weight-balanced left rotation: link_left, then both weights.
 
     An attached metrics sink books one rotation with v's weight from before
@@ -244,21 +260,64 @@ def rotate_left(tree: Tree, v: Node) -> Node:
     sink = tree.sink
     if sink is not None:
         sink.record_rotation(v.weight)
-    r = link_left(tree, v)
+    r = link_left(tree, v, p)
     v.weight = v.left.weight + v.right.weight
     r.weight = v.weight + r.right.weight
     return r
 
 
-def rotate_right(tree: Tree, v: Node) -> Node:
+def rotate_right(tree: Tree, v: Node, p: Node) -> Node:
     """Mirror of rotate_left: link_right, then both weights."""
     sink = tree.sink
     if sink is not None:
         sink.record_rotation(v.weight)
-    r = link_right(tree, v)
+    r = link_right(tree, v, p)
     v.weight = v.left.weight + v.right.weight
     r.weight = r.left.weight + v.weight
     return r
+
+
+def linked_left(edit, tree, v):
+    """Run a left edit (link_left or rotate_left) at v on a parent-linked
+    tree, then write the parents it moved: the inner grandchild's (set
+    even when it is the sentinel), the raised node's and v's."""
+    p = v.parent
+    r = edit(tree, v, p)
+    v.right.parent = v
+    r.parent = p
+    v.parent = r
+    return r
+
+
+def linked_right(edit, tree, v):
+    """Mirror of linked_left, for link_right or rotate_right."""
+    p = v.parent
+    r = edit(tree, v, p)
+    v.left.parent = v
+    r.parent = p
+    v.parent = r
+    return r
+
+
+def linked_splice_out(tree, v):
+    """splice_out on a parent-linked tree; the lifted child's parent is set
+    even when it is the sentinel. Returns v's old parent (the sentinel for
+    the root), the lowest node that lost a descendant."""
+    p = v.parent
+    splice_out(tree, v, p).parent = p
+    return p
+
+
+def linked_relink_predecessor(tree: Tree, v: LinkedNode,
+                              u: LinkedNode) -> LinkedNode:
+    """relink_predecessor on a parent-linked tree; same answer."""
+    g = v.parent
+    low = relink_predecessor(tree, v, g, u, u.parent)
+    low.right.parent = low
+    u.left.parent = u
+    u.right.parent = u
+    u.parent = g
+    return low
 
 
 def structure_string(tree) -> str:

@@ -3,7 +3,8 @@
 Same multiset contract as the weight-balanced trees: equal keys descend
 left, search returns the first match on the path, delete removes one node.
 Search, the in-order walk, the rotation link edits and the one-child
-splice are core's, run on this tree's own sentinel.
+splice are core's, run on this tree's own sentinel through core's
+parent-writing linked_ wrappers.
 Nodes carry key, three links, and a color bit; there is no weight field, so
 when a metrics sink asks for rotation weights the pivot's subtree is counted
 on demand.
@@ -14,7 +15,8 @@ root-to-leaf path crosses the same number of black nodes.
 
 from __future__ import annotations
 
-from .core import SearchTree, link_left, link_right, splice_out
+from .core import (SearchTree, link_left, link_right, linked_left,
+                   linked_right, linked_splice_out)
 
 RED = True
 BLACK = False
@@ -92,13 +94,13 @@ class RedBlackTree(SearchTree):
         sink = self.sink
         if sink is not None:
             sink.record_rotation(self._subtree_weight(v))
-        link_left(self, v)
+        linked_left(link_left, self, v)
 
     def _rotate_right(self, v: RbNode):
         sink = self.sink
         if sink is not None:
             sink.record_rotation(self._subtree_weight(v))
-        link_right(self, v)
+        linked_right(link_right, self, v)
 
     def insert(self, key) -> RbNode:
         nil = self.nil
@@ -172,7 +174,7 @@ class RedBlackTree(SearchTree):
         y_was_red = y.red
         if z.left is nil or z.right is nil:
             x = z.right if z.left is nil else z.left
-            splice_out(self, z)
+            linked_splice_out(self, z)
         else:
             # Successor relink; node identity moves, keys stay put.
             y = z.right

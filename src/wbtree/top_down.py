@@ -1,12 +1,13 @@
 """Single-pass weight-balanced tree: repair while descending.
 
-Insertion walks the tree exactly once, carrying one number down: w, the
-current node's weight with the pending +1 of the arriving key already
-applied. On arrival it writes w into the node, compares the key once and
-reads only the child the key heads into, whose pending weight is
-cw = weight(child) + 1. Since weight(v) = weight(left) + weight(right), the
-sibling's weight is w - cw without loading the sibling, and the pending
-arrival overloads the child's side iff cw * dd > (w - cw) * dn. If it does,
+Insertion walks the tree exactly once, carrying two things down: p, the
+current node's parent, and w, the current node's weight with the pending +1
+of the arriving key already applied. On arrival it writes w into the node,
+compares the key once and reads only the child the key heads into, whose
+pending weight is cw = weight(child) + 1. Since weight(v) = weight(left) +
+weight(right), the sibling's weight is w - cw without loading the sibling,
+and the pending arrival overloads the child's side iff
+cw * dd > (w - cw) * dn, that is iff cw * (dn + dd) > w * dn. If it does,
 the descent rotates at the current position, single or double per the gamma
 test, where the gamma test also anticipates which grandchild subtree the key
 will land in; only then is the heavy side loaded. After a rotation the
@@ -28,31 +29,35 @@ outer branch, since that would need gamma < 1/2.
 
 Deletion mirrors this with decrements: w is the weight with the pending -1
 applied and cw = weight(child) - 1 for the child about to shrink. Each level
-repairs when its sibling, weighing w - cw, outweighs delta times cw; only a
-repair loads the heavy sibling, which never holds the key, so the gamma test
-reads its grandchild weights unadjusted. A found node with at most one child
-is spliced out. One with two children checks its left side, which loses the
-predecessor, then the pass continues down to the predecessor, decrementing
-and repairing, and relinks it into the doomed node's place. If the key is
-absent, a second pass back up the parent chain restores the decremented
-weights and the delete reports False; rotations already made are kept, as
-they leave the tree structurally sound. Every node's weight is written
-before the key is compared against it, so the same walk undoes the pending
-weight changes of insert and delete alike when a key comparison raises.
+repairs when its sibling, weighing w - cw, outweighs delta times cw, that is
+when w * dd > cw * (dn + dd); only a repair loads the heavy sibling, which
+never holds the key, so the gamma test reads its grandchild weights
+unadjusted. After a repair the descent re-aims against the new occupant, as
+insertion does. A found node with at most one child is spliced out. One with
+two children checks its left side, which loses the predecessor, then the
+pass continues down to the predecessor, decrementing and repairing, and
+relinks it into the doomed node's place.
 
-The loops keep no per-level counter. With a metrics sink attached, an op
-books its node touches once at exit from the length of the parent chain it
-left behind (core.chain_length) plus two per repair: an insert touches
-every ancestor of the new node, one more if the node was built in place,
-and the root once more; a delete touches the root and every node on the
-chain of the lowest node that lost a descendant (on a miss, the ancestors
-of the last node compared).
+Nodes carry no parent link: nothing here ever climbs. If the key of a delete
+is absent, a second walk from the root down the key's path, which the
+descent's rotations left a search path, adds back the 1 each node on it
+lost, and the delete reports False; rotations already made are kept, as
+they leave the tree structurally sound. If a key comparison raises, in the
+descent or in that second walk, every weight is recounted from the leaves
+up (O(n), only on an exception); the links are sound throughout.
+
+The loops keep no counter. With a metrics sink attached, each repair books
+two node touches (three for a node built in place), and an op books the rest
+at its exit from a second walk down the key's path that only the sink pays
+for: an insert touches the root and every ancestor of the new node; a delete
+touches the root and every node on the chain of the lowest node that lost a
+descendant (on a miss, the whole path).
 """
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, chain_length, relink_predecessor,
-                   rotate_left, rotate_right, splice_out)
+from .core import (NIL, Node, Tree, relink_predecessor, rotate_left,
+                   rotate_right, splice_out)
 
 
 class TopDownTree(Tree):
@@ -61,7 +66,7 @@ class TopDownTree(Tree):
         nil = NIL
         v = self.root
         if v is nil:
-            node = Node(key, nil, nil, nil, 2)
+            node = Node(key, nil, nil, 2)
             self.root = node
             self.size = 1
             sink = self.sink
@@ -69,41 +74,39 @@ class TopDownTree(Tree):
                 sink.touch_count += 1
             return node
         dn = self._dn
-        dd = self._dd
+        s = self._ds
+        p = nil
         w = v.weight + 1
-        touches = 1
         try:
             while True:
                 v.weight = w
                 if key <= v.key:
                     c = v.left
                     if c is nil:
-                        node = Node(key, nil, nil, v, 2)
-                        v.left = node
+                        node = v.left = Node(key, nil, nil, 2)
                         break
                     cw = c.weight + 1
                     # Pending arrival on the left: overload iff
                     # (|L|+1) > |R|*delta, with |R| = w - cw.
-                    if cw * dd <= (w - cw) * dn:
+                    if cw * s <= w * dn:
+                        p = v
                         v = c
                         w = cw
                         continue
-                    v, node = self._insert_repair_left(v, key)
+                    v, node = self._insert_repair_left(v, p, key)
                 else:
                     c = v.right
                     if c is nil:
-                        node = Node(key, nil, nil, v, 2)
-                        v.right = node
+                        node = v.right = Node(key, nil, nil, 2)
                         break
                     cw = c.weight + 1
-                    if cw * dd <= (w - cw) * dn:
+                    if cw * s <= w * dn:
+                        p = v
                         v = c
                         w = cw
                         continue
-                    v, node = self._insert_repair_right(v, key)
-                touches += 2
+                    v, node = self._insert_repair_right(v, p, key)
                 if node is not None:
-                    touches += 1
                     break
                 # Re-aim against the new occupant, which holds the same
                 # nodes, and descend one level without a second check.
@@ -111,36 +114,33 @@ class TopDownTree(Tree):
                 if key <= v.key:
                     c = v.left
                     if c is nil:
-                        node = Node(key, nil, nil, v, 2)
-                        v.left = node
+                        node = v.left = Node(key, nil, nil, 2)
                         break
                 else:
                     c = v.right
                     if c is nil:
-                        node = Node(key, nil, nil, v, 2)
-                        v.right = node
+                        node = v.right = Node(key, nil, nil, 2)
                         break
+                p = v
                 v = c
                 w = c.weight + 1
         except BaseException:
-            # A key comparison raised: take back the pending +1s.
-            self._rollback(v, -1)
+            self._recount()
             raise
         self.size += 1
-        # Descent rotations may scribble on the sentinel's parent; rest it.
-        nil.parent = nil
         sink = self.sink
         if sink is not None:
-            sink.touch_count += touches + chain_length(node.parent)
+            sink.touch_count += 1 + self._depth(key, node)
         return node
 
-    def _insert_repair_left(self, v: Node, key):
+    def _insert_repair_left(self, v: Node, p: Node, key):
         # Left side will be too heavy once the key lands. l is real here.
         l = v.left
         inner = l.right
         outer = l.left
         gn = self._gn
         gd = self._gd
+        sink = self.sink
         if key <= l.key:
             dbl = inner.weight * gd > (outer.weight + 1) * gn
         else:
@@ -149,54 +149,57 @@ class TopDownTree(Tree):
                 # The rising pivot is the key's own empty slot: build the
                 # node right here and the insertion is done. Booked as the
                 # double it stands in for, with tree-as-it-will-be weights.
-                sink = self.sink
                 if sink is not None:
+                    sink.touch_count += 3
                     sink.record_rotation(l.weight + 1)
                     sink.record_rotation(v.weight)
-                return v, self._materialize(v, l, v, key)
+                return v, self._materialize(v, p, l, v, key)
+        if sink is not None:
+            sink.touch_count += 2
         if dbl:
-            rotate_left(self, l)
-        return rotate_right(self, v), None
+            rotate_left(self, l, v)
+        return rotate_right(self, v, p), None
 
-    def _insert_repair_right(self, v: Node, key):
+    def _insert_repair_right(self, v: Node, p: Node, key):
         r = v.right
         inner = r.left
         outer = r.right
         gn = self._gn
         gd = self._gd
+        sink = self.sink
         if key > r.key:
             dbl = inner.weight * gd > (outer.weight + 1) * gn
         else:
             dbl = (inner.weight + 1) * gd > outer.weight * gn
             if dbl and inner is NIL:
-                sink = self.sink
                 if sink is not None:
+                    sink.touch_count += 3
                     sink.record_rotation(r.weight + 1)
                     sink.record_rotation(v.weight)
-                return v, self._materialize(v, v, r, key)
+                return v, self._materialize(v, p, v, r, key)
+        if sink is not None:
+            sink.touch_count += 2
         if dbl:
-            rotate_right(self, r)
-        return rotate_left(self, v), None
+            rotate_right(self, r, v)
+        return rotate_left(self, v, p), None
 
-    def _materialize(self, v: Node, a: Node, b: Node, key) -> Node:
-        # New node at v's position with children (a, b); a keeps only its
-        # left subtree, b only its right. All three weights are rebuilt from
-        # scratch, which absorbs the optimistic +1 v took on arrival.
+    def _materialize(self, v: Node, p: Node, a: Node, b: Node, key) -> Node:
+        # New node at v's position under p, with children (a, b); a keeps
+        # only its left subtree, b only its right. All three weights are
+        # rebuilt from scratch, which absorbs the optimistic +1 v took on
+        # arrival.
         nil = NIL
-        g = v.parent
         a.right = nil
         a.weight = a.left.weight + 1
         b.left = nil
         b.weight = 1 + b.right.weight
-        node = Node(key, a, b, g, a.weight + b.weight)
-        a.parent = node
-        b.parent = node
-        if g is nil:
+        node = Node(key, a, b, a.weight + b.weight)
+        if p is nil:
             self.root = node
-        elif g.left is v:
-            g.left = node
+        elif p.left is v:
+            p.left = node
         else:
-            g.right = node
+            p.right = node
         return node
 
     def delete(self, key) -> bool:
@@ -204,12 +207,10 @@ class TopDownTree(Tree):
         v = self.root
         if v is nil:
             return False
-        dn = self._dn
         dd = self._dd
+        s = self._ds
+        p = nil
         w = v.weight - 1
-        repaired = False
-        found = True
-        touches = 1
         try:
             while True:
                 v.weight = w
@@ -217,98 +218,155 @@ class TopDownTree(Tree):
                 if key == k:
                     c = v.left
                     if c is nil or v.right is nil:
-                        low = splice_out(self, v)
                         break
                     # Two children: the predecessor will leave the left
                     # subtree, so the left child is the one to shrink.
                     cw = c.weight - 1
-                    if not repaired and (w - cw) * dd > cw * dn:
-                        v = self._delete_repair(v, c)
-                        touches += 2
-                        repaired = True
+                    if w * dd <= cw * s:
+                        break
+                else:
+                    # c is the child about to shrink; its sibling weighs
+                    # w - cw and outweighs delta * cw iff w*dd > cw*(dn+dd).
+                    c = v.left if key < k else v.right
+                    if c is nil:
+                        return self._miss(key)
+                    cw = c.weight - 1
+                    if w * dd <= cw * s:
+                        p = v
+                        v = c
+                        w = cw
                         continue
-                    low, more = self._remove_two_child(v, cw)
-                    touches += more
+                # Raise the heavy sibling, then re-aim against the new
+                # occupant and descend one level without a second check.
+                v = self._delete_repair(v, c, p)
+                v.weight = w
+                k = v.key
+                if key == k:
                     break
-                # c is the child about to shrink; its sibling weighs w - cw.
                 c = v.left if key < k else v.right
                 if c is nil:
-                    self._rollback(v, 1)
-                    found = False
-                    low = v.parent
-                    break
-                cw = c.weight - 1
-                if not repaired and (w - cw) * dd > cw * dn:
-                    v = self._delete_repair(v, c)
-                    touches += 2
-                    repaired = True
-                    continue
-                repaired = False
+                    return self._miss(key)
+                p = v
                 v = c
-                w = cw
+                w = c.weight - 1
+            # v holds the key; p is its parent.
+            c = v.left
+            if c is nil or v.right is nil:
+                at = splice_out(self, v, p)
+                low = None
+            else:
+                at, low = self._remove_two_child(v, p, c.weight - 1)
         except BaseException:
-            self._rollback(v, 1)
+            self._recount()
             raise
-        if found:
-            self.size -= 1
-        nil.parent = nil
+        self.size -= 1
         sink = self.sink
         if sink is not None:
-            sink.touch_count += touches + chain_length(low)
-        return found
+            # The root, then the chain of the lowest node that lost a
+            # descendant: the path above the unlinked node's slot, now held
+            # by at; for a relinked predecessor also at itself and, unless
+            # it lost one itself, at.left's right spine down to that node.
+            n = 1 + self._depth(key, at)
+            if low is not None:
+                n += 1
+                if low is not at:
+                    x = at.left
+                    n += 1
+                    while x is not low:
+                        x = x.right
+                        n += 1
+            sink.touch_count += n
+        return True
 
-    def _delete_repair(self, v: Node, c: Node) -> Node:
+    def _delete_repair(self, v: Node, c: Node, p: Node) -> Node:
         # Raise the heavy sibling of c, the shrinking child, into v's
-        # position; the deletion target is never inside it, so the gamma
-        # test reads current weights.
+        # position under p; the deletion target is never inside it, so the
+        # gamma test reads current weights.
         gn = self._gn
         gd = self._gd
+        sink = self.sink
+        if sink is not None:
+            sink.touch_count += 2
         if c is v.left:
             h = v.right
             if h.left.weight * gd > h.right.weight * gn:
-                rotate_right(self, h)
-            return rotate_left(self, v)
+                rotate_right(self, h, v)
+            return rotate_left(self, v, p)
         h = v.left
         if h.right.weight * gd > h.left.weight * gn:
-            rotate_left(self, h)
-        return rotate_right(self, v)
+            rotate_left(self, h, v)
+        return rotate_right(self, v, p)
 
-    def _remove_two_child(self, v: Node, w: int):
-        # Continue the downward pass to the predecessor, then relink it into
-        # v's position. w is v.left's weight less the leaving node; each
-        # level writes its carried weight and gets one repair chance.
-        # Returns the lowest node that lost a descendant and the touches
-        # its repairs add.
+    def _remove_two_child(self, v: Node, p: Node, w: int):
+        # Continue the downward pass along v.left's right spine to the
+        # predecessor u, then relink it into v's position under p. w is
+        # v.left's weight less the leaving node; each level writes its
+        # carried weight and gets one repair chance. A repair raises the
+        # level's left child, whose right child is then the repaired node:
+        # the pass re-aims there without a second check. Returns u and the
+        # lowest node that lost a descendant.
         nil = NIL
-        dn = self._dn
         dd = self._dd
+        s = self._ds
+        up = v
         u = v.left
         c = u.right
-        repaired = False
-        touches = 0
         while c is not nil:
             u.weight = w
             cw = c.weight - 1
-            if not repaired and (w - cw) * dd > cw * dn:
-                u = self._delete_repair(u, c)
-                touches += 2
-                repaired = True
+            if w * dd > cw * s:
+                up = self._delete_repair(u, c, up)
+                up.weight = w
+                w = u.weight - 1
             else:
-                repaired = False
+                up = u
                 u = c
                 w = cw
             c = u.right
-        low = relink_predecessor(self, v, u)
+        low = relink_predecessor(self, v, p, u, up)
         u.weight = u.left.weight + u.right.weight
-        return low, touches
+        return u, low
 
-    def _rollback(self, v: Node, step: int):
-        # Absent key, or a key comparison raised: add step back along the
-        # current ancestor chain to undo the optimistic weight changes.
-        # Rotations performed on the way down stay; they leave the tree
-        # structurally sound.
+    def _miss(self, key) -> bool:
+        # The key is absent: walk its path again from the root and add back
+        # the 1 the descent took from each node on it.
         nil = NIL
+        v = self.root
         while v is not nil:
-            v.weight += step
-            v = v.parent
-        nil.parent = nil
+            v.weight += 1
+            v = v.left if key < v.key else v.right
+        sink = self.sink
+        if sink is not None:
+            sink.touch_count += self._depth(key, nil)
+        return False
+
+    def _depth(self, key, at) -> int:
+        # For the sink only: the nodes on key's path from the root down to
+        # at, which lies on that path (the sentinel: the whole path), at
+        # excluded. Each such node compared unequal to a deleted key, so
+        # <= picks the side a delete's < did.
+        nil = NIL
+        n = 0
+        v = self.root
+        while v is not at and v is not nil:
+            n += 1
+            v = v.left if key <= v.key else v.right
+        return n
+
+    def _recount(self):
+        # A key comparison raised. The links are sound, but the weights on
+        # the path still hold the pending step: recount every weight,
+        # children before parents.
+        nil = NIL
+        root = self.root
+        if root is nil:
+            return
+        nodes = [root]
+        push = nodes.append
+        for v in nodes:
+            if v.left is not nil:
+                push(v.left)
+            if v.right is not nil:
+                push(v.right)
+        for v in reversed(nodes):
+            v.weight = v.left.weight + v.right.weight

@@ -44,6 +44,7 @@ from wbtree.redblack import RedBlackTree
 from wbtree.redblack import audit as rb_audit
 from wbtree.top_down import TopDownTree
 
+from test_bench import run_with_shapes
 from test_core import dump
 from test_keygen import dump_workload
 from test_oracle import apply_op
@@ -428,10 +429,10 @@ def test_c9_identical_seeds_identical_bytes(tmp_path):
                                      ["integral", "tight"]),
             dist="uniform", sizes=[2000], base_trees=2, seed=21,
             op_pairs=4000, sample_interval=1000)
-        return run_violations_over_time(spec)
+        return run_with_shapes(run_violations_over_time, spec)
 
-    r1, r2 = shape_run(), shape_run()
-    assert r1.shapes == r2.shapes
+    (r1, s1), (r2, s2) = shape_run(), shape_run()
+    assert s1 == s2 and len(s1) == 6
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     emit_results(r1.rows, "csv", str(p1))
     emit_results(r2.rows, "csv", str(p2))

@@ -29,7 +29,7 @@ from wbtree.bench import (
     tree_shape,
 )
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import Node
+from wbtree.core import LinkedNode, Node
 from wbtree.keygen import STREAM_BASE, derive_seed, generate
 from wbtree.metrics import CSV_COLUMNS
 from wbtree.params import PARAM_SETS, params_from_name
@@ -51,6 +51,36 @@ def tiny_spec(experiment, variants, **kw):
 
 REPLAY_OPS = ([("i", k) for k in range(60)]
               + [("d", k) for k in range(0, 90, 4)])
+
+
+def run_with_shapes(runner, spec, *args):
+    """Run a harness runner; returns its result and each cell's final tree
+    shape keyed (size, base tree, variant label), in run order.
+
+    The harness computes no shapes. This wraps the one audit call each
+    cell makes on its final tree, and rebuilds the cell keys from the
+    order the runners visit cells in: sizes, base trees, variants.
+    """
+    seen = []
+    audit = bench._audit_cell
+
+    def audit_and_shape(vs, tree, spec, where):
+        audit(vs, tree, spec, where)
+        seen.append((vs.label, tree_shape(tree)))
+
+    bench._audit_cell = audit_and_shape
+    try:
+        res = runner(spec, *args)
+    finally:
+        bench._audit_cell = audit
+    if spec.experiment == "replay":
+        cells = [(0, 0)] * len(seen)
+    else:
+        cells = [(size, ti) for size in spec.sizes
+                 for ti in range(spec.base_trees) for _ in spec.variants]
+    assert len(cells) == len(seen)
+    return res, {(*cell, label): shape
+                 for cell, (label, shape) in zip(cells, seen)}
 
 
 def run_experiment(spec):
@@ -159,9 +189,10 @@ def test_runner_table_covers_non_replay_experiments():
 
 def test_insert_pct_rows():
     variants = expand_variants(["bottom_up", "redblack"], ["integral"])
-    res = run_insert_pct(tiny_spec("insert-pct", variants))
+    res, shapes = run_with_shapes(run_insert_pct,
+                                  tiny_spec("insert-pct", variants))
     assert len(res.rows) == 2 * 2          # trees x variants
-    assert len(res.shapes) == 4
+    assert len(shapes) == 4
     for r in res.rows:
         assert r.op == "insert"
         assert r.ops == 2                  # ceil(40 / 20)
@@ -174,7 +205,7 @@ def test_insert_pct_rows():
             assert r.violation_count == -1
         else:
             assert r.violation_count == 0
-    for (size, ti, label), shape in res.shapes.items():
+    for (size, ti, label), shape in shapes.items():
         assert size == 40 and ti in (0, 1)
         assert len(keys_of(shape)) == 42
 
@@ -205,7 +236,8 @@ def test_timed_cells_leave_no_trees_behind(experiment):
     # free each clone and base tree it made, not leave them for a later
     # collection. The automatic collector stays off, so none runs.
     def live_nodes():
-        return sum(1 for o in gc.get_objects() if type(o) in (Node, RbNode))
+        return sum(1 for o in gc.get_objects()
+                   if type(o) in (Node, LinkedNode, RbNode))
 
     gc.collect()
     before = live_nodes()
@@ -225,12 +257,12 @@ def test_timed_cells_leave_no_trees_behind(experiment):
 def test_erase_pct_shares_victims():
     variants = expand_variants(["bottom_up", "top_down"], ["integral"])
     spec = tiny_spec("erase-pct", variants, sizes=[60], base_trees=1)
-    res = run_erase_pct(spec)
+    res, shapes = run_with_shapes(run_erase_pct, spec)
     assert len(res.rows) == 2
     for r in res.rows:
         assert r.op == "erase" and r.ops == 3
-    a = res.shapes[(60, 0, "bottom_up/integral")]
-    b = res.shapes[(60, 0, "top_down/integral")]
+    a = shapes[(60, 0, "bottom_up/integral")]
+    b = shapes[(60, 0, "top_down/integral")]
     # same victims against the same base keys: identical final multisets
     assert keys_of(a) == keys_of(b)
     assert len(keys_of(a)) == 57
@@ -246,13 +278,15 @@ def test_erase_pct_shares_victims():
 
 def test_depth_churn_preserves_size():
     variants = expand_variants(["top_down"], ["integral", "tight"])
-    res = run_depth_churn(tiny_spec("depth-churn", variants, sizes=[50],
-                                    base_trees=2))
+    res, shapes = run_with_shapes(
+        run_depth_churn,
+        tiny_spec("depth-churn", variants, sizes=[50], base_trees=2))
     assert len(res.rows) == 4
     for r in res.rows:
         assert r.op == "churn" and r.rep == 1 and r.ops == 50
         assert r.avg_depth > 0.0
-    for shape in res.shapes.values():
+    assert len(shapes) == 4
+    for shape in shapes.values():
         assert len(keys_of(shape)) == 50
 
 
@@ -285,9 +319,9 @@ def test_over_time_determinism():
     variants = expand_variants(["top_down"], ["tight"])
     mk = lambda: tiny_spec("violations", variants, sizes=[48], base_trees=2,
                            op_pairs=20, sample_interval=7)
-    r1 = run_violations_over_time(mk())
-    r2 = run_violations_over_time(mk())
-    assert r1.shapes == r2.shapes
+    r1, s1 = run_with_shapes(run_violations_over_time, mk())
+    r2, s2 = run_with_shapes(run_violations_over_time, mk())
+    assert s1 == s2 and len(s1) == 2
     assert [(r.op_index, r.rotation_count, r.violation_count)
             for r in r1.rows] == \
            [(r.op_index, r.rotation_count, r.violation_count)
@@ -324,7 +358,7 @@ def test_op_sequence_parse_errors():
 def test_replay_adds_baseline_and_normalizes():
     ops = [("i", k) for k in range(30)] + [("d", k) for k in range(0, 30, 3)]
     spec = tiny_spec("replay", expand_variants(["top_down"], ["integral"]))
-    res = run_replay(spec, ops)
+    res, shapes = run_with_shapes(run_replay, spec, ops)
     labels = {(r.variant, r.params) for r in res.rows}
     assert labels == {("bottom_up", "classic"), ("top_down", "integral")}
     for r in res.rows:
@@ -334,7 +368,7 @@ def test_replay_adds_baseline_and_normalizes():
             assert r.normalized_elapsed == 1.0
         else:
             assert r.normalized_elapsed > 0.0
-    shapes = list(res.shapes.values())
+    shapes = list(shapes.values())
     assert keys_of(shapes[0]) == keys_of(shapes[1])
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import NIL, Node
+from wbtree.core import NIL, LinkedNode
 from wbtree.metrics import MetricsSink, count_violations, max_depth
 from wbtree.oracle import SortedMultisetOracle, audit_balance, audit_structure
 from wbtree.params import PARAM_SETS, make_params
@@ -120,7 +120,8 @@ def test_delete_gamma_tie_takes_double_rotation():
         if shape is None:
             return NIL
         key, l, r = shape
-        v = Node(key, NIL, NIL, parent, 2)
+        v = LinkedNode(key, NIL, NIL)
+        v.parent = parent
         v.left = wire(l, v)
         v.right = wire(r, v)
         v.weight = v.left.weight + v.right.weight

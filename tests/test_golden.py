@@ -34,6 +34,7 @@ from wbtree.params import params_from_name
 from wbtree.redblack import RedBlackTree
 from wbtree.top_down import TopDownTree
 
+from test_bench import run_with_shapes
 from test_core import dump
 
 SCHEMES = {"top_down": TopDownTree, "bottom_up": BottomUpTree}
@@ -123,11 +124,12 @@ def test_redblack_shapes_colours_counters_and_results_match_the_golden_digest():
     assert h.hexdigest() == GOLDEN_REDBLACK
 
 
-def harness_text(res) -> str:
+def harness_text(run, spec, *args) -> str:
+    res, shapes = run_with_shapes(run, spec, *args)
     keep = [i for i, c in enumerate(CSV_COLUMNS) if c not in TIMING_COLUMNS]
     rows = "".join(",".join(r.to_row()[i] for i in keep) + "\n"
                    for r in res.rows)
-    shapes = "".join(f"{cell} {shape}\n" for cell, shape in res.shapes.items())
+    shapes = "".join(f"{cell} {shape}\n" for cell, shape in shapes.items())
     return rows + shapes
 
 
@@ -146,9 +148,9 @@ def test_harness_rows_and_shapes_match_the_golden_digest():
                 sizes=[30, 61], base_trees=2, seed=5, time_floor_ms=0,
                 sample_interval=40, op_pairs=90, audit=True)
             h.update(f"{dist} {name}\n".encode())
-            h.update(harness_text(runner(spec)).encode())
+            h.update(harness_text(runner, spec).encode())
     spec = ExperimentSpec(experiment="replay", variants=variants,
                           time_floor_ms=0, audit=True)
     h.update(b"replay\n")
-    h.update(harness_text(run_replay(spec, replay_ops)).encode())
+    h.update(harness_text(run_replay, spec, replay_ops).encode())
     assert h.hexdigest() == GOLDEN_HARNESS

@@ -73,6 +73,31 @@ def test_max_depth():
     assert max_depth(tree_of((1, None, (2, None, (3, None, None))))) == 2
 
 
+def depths_by_recursion(v, nil, d=0):
+    """Every node's depth, by the definition: the old tuple-stack scans
+    and this walk see the same multiset."""
+    if v is nil:
+        return []
+    return ([d] + depths_by_recursion(v.left, nil, d + 1)
+            + depths_by_recursion(v.right, nil, d + 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TopDownTree(PARAM_SETS["tight"]),
+    lambda: BottomUpTree(PARAM_SETS["overtight"]),
+    RedBlackTree,
+], ids=["top_down", "bottom_up", "redblack"])
+def test_level_scans_match_the_depth_definitions(rnd, make):
+    for n in (0, 1, 2, 7, 100, 900):
+        t = make()
+        for _ in range(n):
+            t.insert(rnd.randrange(n // 2 + 1))
+        depths = depths_by_recursion(t.root, t.nil)
+        assert max_depth(t) == (max(depths) if depths else -1)
+        assert average_depth(t) == (sum(depths) / len(depths) if depths
+                                    else 0.0)
+
+
 def test_summarize_ns():
     mean, std = summarize_ns([100, 200], 10)
     assert mean == pytest.approx(15.0)

@@ -120,10 +120,7 @@ def right_spine(n):
     t = TopDownTree(PARAM_SETS["topdown"])
     below = NIL
     for k in reversed(range(n)):
-        v = Node(k, NIL, below, NIL, below.weight + 1)
-        if below is not NIL:
-            below.parent = v
-        below = v
+        below = Node(k, NIL, below, below.weight + 1)
     t.root = below
     t.size = n
     return t
@@ -141,18 +138,29 @@ def test_audits_walk_a_deep_spine_without_recursion():
     assert unbalanced[-1] == f"balance at 0: true weights (1, {n})"
 
 
-# Audit digests recorded with the two-pass audit this walk replaced: its
-# audit_structure, and audit_structure followed by audit_balance.
+# Audit digests per scheme, recorded with the two-pass audit this walk
+# replaced: its audit_structure, and audit_structure followed by
+# audit_balance. The top-down digests were recorded while its nodes still
+# carried parents, over every fault but the two that need them.
 AUDIT_SCHEMES = {"top_down": TopDownTree, "bottom_up": BottomUpTree}
 AUDIT_PARAMS = ("classic", "integral", "topdown", "tight", "overtight",
                 "custom:3/2:1/1")
 AUDIT_SIZES = (0, 1, 6, 40, 200)
 AUDIT_SEEDS = (1, 2, 3)
 FAULTS = (None, "weight+1", "weight-1", "key", "parent", "root", "size")
-STRUCTURE_GOLDEN = (
-    "ec97c052e190b04f67d0ac752e59ea6580ef4d4529219f54fad6a1ee876147a8")
-BALANCE_GOLDEN = (
-    "a58ec86e46cec7d3fe344afe019a8591f98a6d66ee0b6cf8cb5c523b832afa21")
+PARENT_FAULTS = ("parent", "root")
+STRUCTURE_GOLDEN = {
+    "top_down":
+        "e2ac344eeae275848bb4ab4b354522b46dee89afe2d27b050edef8da95e31456",
+    "bottom_up":
+        "3de31ab082f144ad14c2bc60fc9cbe62d742d71c4ca782ebca0120bcd0895902",
+}
+BALANCE_GOLDEN = {
+    "top_down":
+        "54135c6eea6369bb19763b7a5ff8abcc9162be75c443da32c2b3168871d1d228",
+    "bottom_up":
+        "0ad7fe21a8c7b3f67148c9d41616291ba0475d8080fda3106df162d0e69aae1c",
+}
 
 
 def faulted_tree(cls, name, size, seed, fault):
@@ -166,11 +174,16 @@ def faulted_tree(cls, name, size, seed, fault):
     for _ in range(2 * size):
         t.delete(rng.randrange(universe))
         t.insert(rng.randrange(universe))
-    nodes, stack = [], [t.root] if t.root is not t.nil else []
+    # Pre-order, each node with its parent; top-down nodes carry none.
+    nodes, parent = [], {}
+    stack = [t.root] if t.root is not t.nil else []
     while stack:
         v = stack.pop()
         nodes.append(v)
-        stack += [c for c in (v.left, v.right) if c is not t.nil]
+        for c in (v.left, v.right):
+            if c is not t.nil:
+                parent[c] = v
+                stack.append(c)
     if fault == "size":
         t.size += 1
     elif fault in ("weight+1", "weight-1") and nodes:
@@ -179,7 +192,7 @@ def faulted_tree(cls, name, size, seed, fault):
         t.root.parent = rng.choice(nodes)
     elif fault in ("key", "parent") and len(nodes) > 1:
         v = rng.choice(nodes[1:])
-        p = v.parent
+        p = parent[v]
         if fault == "parent":
             v.parent = rng.choice([u for u in nodes if u is not p])
         else:
@@ -188,22 +201,27 @@ def faulted_tree(cls, name, size, seed, fault):
     return t
 
 
-def audit_digest(audit) -> str:
+def audit_digest(audit, scheme) -> str:
+    cls = AUDIT_SCHEMES[scheme]
+    faults = [f for f in FAULTS
+              if scheme == "bottom_up" or f not in PARENT_FAULTS]
     h = hashlib.sha256()
-    for scheme, cls in AUDIT_SCHEMES.items():
-        for name in AUDIT_PARAMS:
-            for size in AUDIT_SIZES:
-                for seed in AUDIT_SEEDS:
-                    for fault in FAULTS:
-                        t = faulted_tree(cls, name, size, seed, fault)
-                        h.update(f"{scheme} {name} {size} {seed} {fault}\n"
-                                 f"{audit(t)!r}\n".encode())
+    for name in AUDIT_PARAMS:
+        for size in AUDIT_SIZES:
+            for seed in AUDIT_SEEDS:
+                for fault in faults:
+                    t = faulted_tree(cls, name, size, seed, fault)
+                    h.update(f"{scheme} {name} {size} {seed} {fault}\n"
+                             f"{audit(t)!r}\n".encode())
     return h.hexdigest()
 
 
 def test_audits_match_the_golden_digests():
-    assert audit_digest(audit_structure) == STRUCTURE_GOLDEN
-    assert audit_digest(audit_balance) == BALANCE_GOLDEN
+    for scheme in AUDIT_SCHEMES:
+        assert audit_digest(audit_structure, scheme) == \
+            STRUCTURE_GOLDEN[scheme], scheme
+        assert audit_digest(audit_balance, scheme) == \
+            BALANCE_GOLDEN[scheme], scheme
 
 
 def test_exact_predicate_rational():

@@ -1,18 +1,22 @@
+import gc
 import itertools
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import NIL, Node, chain_length, structure_string
+from wbtree.core import NIL, Node, structure_string
 from wbtree.metrics import MetricsSink, count_violations, max_depth
 from wbtree.oracle import SortedMultisetOracle, audit_balance, audit_structure
-from wbtree.params import PARAM_SETS
+from wbtree.params import PARAM_SETS, params_from_name
 from wbtree.redblack import RedBlackTree
 from wbtree.redblack import audit as rb_audit
 from wbtree.top_down import TopDownTree
 
 from test_core import dump
+from test_golden import PARAMS
 
 
 def grown(keys, params=PARAM_SETS["topdown"], sink=None):
@@ -22,13 +26,8 @@ def grown(keys, params=PARAM_SETS["topdown"], sink=None):
     return t
 
 
-def link(parent, key, weight, left=None, right=None):
-    v = Node(key, left or NIL, right or NIL, parent or NIL, weight)
-    if v.left is not NIL:
-        v.left.parent = v
-    if v.right is not NIL:
-        v.right.parent = v
-    return v
+def link(key, weight, left=None, right=None):
+    return Node(key, left or NIL, right or NIL, weight)
 
 
 def test_small_insert_golden():
@@ -67,14 +66,14 @@ def test_anticipated_double_reaims_below_old_outer_grandchild():
     # and the gamma test picks a double rotation; the key must then finish
     # its descent under the outer grandchild that just moved.
     t = TopDownTree(PARAM_SETS["tight"])
-    n5 = link(None, 5, 2)
-    n12 = link(None, 12, 2)
-    n13 = link(None, 13, 3, left=n12)
-    n17 = link(None, 17, 2)
-    n15 = link(None, 15, 5, left=n13, right=n17)
-    n25 = link(None, 25, 2)
-    n20 = link(None, 20, 7, left=n15, right=n25)
-    n10 = link(None, 10, 9, left=n5, right=n20)
+    n5 = link(5, 2)
+    n12 = link(12, 2)
+    n13 = link(13, 3, left=n12)
+    n17 = link(17, 2)
+    n15 = link(15, 5, left=n13, right=n17)
+    n25 = link(25, 2)
+    n20 = link(20, 7, left=n15, right=n25)
+    n10 = link(10, 9, left=n5, right=n20)
     t.root = n10
     t.size = 8
     assert audit_structure(t) == []
@@ -300,6 +299,9 @@ class Counted:
     def __init__(self, k):
         self.k = k
 
+    def __repr__(self):
+        return repr(self.k)
+
     def __lt__(self, other):
         Counted.calls += 1
         return self.k < other.k
@@ -333,44 +335,72 @@ def search_path_length(t, k) -> int:
     return n
 
 
+def ancestors(t, node) -> int:
+    """Nodes above node, by a walk from the root that counts nothing."""
+    n = 0
+    v = t.root
+    k = node.key.k
+    while v is not node:
+        assert v is not NIL
+        n += 1
+        v = v.left if k <= v.key.k else v.right
+    return n
+
+
+# The sink's touch walk compares keys too, so each op is counted on a
+# sink-free tree while a twin with a sink, fed the same keys, tells which
+# ops rotated.
+
 @pytest.mark.parametrize("name", ["topdown", "tight", "overtight"])
 def test_insert_without_rotation_compares_once_per_ancestor(rnd, name):
     sink = MetricsSink()
-    t = TopDownTree(PARAM_SETS[name], sink=sink)
+    twin = TopDownTree(PARAM_SETS[name], sink=sink)
+    t = TopDownTree(PARAM_SETS[name])
     plain = 0
     for _ in range(3000):
+        k = rnd.randrange(1000)
         rotations = sink.rotation_count
+        twin.insert(Counted(k))
         Counted.calls = 0
-        node = t.insert(Counted(rnd.randrange(1000)))
+        node = t.insert(Counted(k))
         if sink.rotation_count == rotations:
-            assert Counted.calls == chain_length(node.parent)
+            assert Counted.calls == ancestors(t, node)
             plain += 1
+    assert dump(twin) == dump(t)
     assert plain > 200
 
 
 @pytest.mark.parametrize("name", ["topdown", "tight", "overtight"])
 def test_delete_compares_at_most_twice_per_level(rnd, name):
     sink = MetricsSink()
-    t = TopDownTree(PARAM_SETS[name], sink=sink)
+    twin = TopDownTree(PARAM_SETS[name], sink=sink)
+    t = TopDownTree(PARAM_SETS[name])
     for _ in range(1500):
-        t.insert(Counted(rnd.randrange(1000)))
-    plain = 0
+        k = rnd.randrange(1000)
+        twin.insert(Counted(k))
+        t.insert(Counted(k))
+    plain = misses = 0
     for _ in range(2000):
         k = rnd.randrange(1000)
         path = search_path_length(t, k)
         rotations = sink.rotation_count
+        twin.delete(Counted(k))
         Counted.calls = 0
         hit = t.delete(Counted(k))
         rotated = sink.rotation_count - rotations
+        # A miss walks its path once more, with one < per node.
         if rotated == 0:
             # == then < at every node passed, == alone at a hit.
-            assert Counted.calls == 2 * path - hit
+            assert Counted.calls == 2 * path - hit + (0 if hit else path)
             plain += 1
+            misses += not hit
         else:
             # A repair may deepen the key by one level and re-examines
             # the node it raises.
-            assert Counted.calls <= 2 * path + 4 * rotated
-    assert plain > 200
+            assert Counted.calls <= (2 * path + 4 * rotated
+                                     + (0 if hit else path + rotated))
+    assert dump(twin) == dump(t)
+    assert plain > 200 and misses > 20
 
 
 keys_strategy = st.lists(st.integers(0, 40), min_size=0, max_size=120)
@@ -402,3 +432,112 @@ def test_guaranteed_params_pass_full_audit(inserts, deletes):
         t.delete(k)
         assert count_violations(t) == 0
     assert audit_balance(t) == []
+
+
+# --- parent-free nodes -------------------------------------------------------
+
+def seeded(name, sink=None):
+    """A churned tree of even keys under the named set, so every odd key
+    is absent and every even one may be present more than once."""
+    rng = random.Random(name)
+    t = TopDownTree(params_from_name(name), sink=sink)
+    for _ in range(300):
+        t.insert(2 * rng.randrange(150))
+    for _ in range(100):
+        t.delete(2 * rng.randrange(150))
+    return t
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_delete_miss_leaves_the_tree_as_it_was(name):
+    sink = MetricsSink()
+    t = seeded(name, sink)
+    plain = 0
+    for k in range(-1, 302, 2):
+        before = dump(t)
+        keys = t.inorder_keys()
+        rotations = sink.rotation_count
+        assert t.delete(k) is False
+        if sink.rotation_count == rotations:
+            assert dump(t) == before
+            plain += 1
+        else:
+            # Rotations made on the way down stay; weights are exact.
+            assert t.inorder_keys() == keys
+        assert audit_structure(t) == [] and len(t) == len(keys)
+    assert plain > 80
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_raising_key_leaves_exact_weights(name):
+    # Every budget short of what the op needs raises at a later comparison:
+    # in the descent, in a repair's gamma test or re-aim, and for the absent
+    # key (odd) also in the second walk, which makes the op's last
+    # comparisons. audit_structure checks every stored weight.
+    base = seeded(name)
+    keys = base.inorder_keys()
+    present = keys[len(keys) // 2]
+    for op, k in (("insert", 151), ("delete", present), ("delete", 151)):
+        spare = Fuse(k, 10 ** 6)
+        getattr(base.clone(), op)(spare)
+        needed = 10 ** 6 - spare.budget
+        assert needed > 2
+        for budget in range(needed):
+            t = base.clone()
+            with pytest.raises(RuntimeError):
+                getattr(t, op)(Fuse(k, budget))
+            assert t.inorder_keys() == keys and len(t) == len(keys)
+            assert audit_structure(t) == []
+
+
+def test_top_down_trees_are_freed_without_the_collector():
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        t = grown(range(3000))
+        for k in range(0, 3000, 3):
+            t.delete(k)
+        t.delete(-1)
+        c = t.clone()
+        del t, c
+        assert gc.collect() == 0
+        # A bottom-up tree is still cyclic through its parent links, which
+        # is why the harness keeps its cells GC-quiet.
+        b = BottomUpTree(PARAM_SETS["integral"])
+        for k in range(100):
+            b.insert(k)
+        del b
+        assert gc.collect() > 0
+    finally:
+        if was:
+            gc.enable()
+
+
+def built_bytes_per_key(make, keys) -> float:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = make()
+        for k in keys:
+            t.insert(k)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return used / len(keys)
+
+
+def test_top_down_nodes_carry_no_parent_and_take_64_bytes():
+    rng = random.Random(12)
+    keys = [rng.randrange(1 << 60) for _ in range(10 ** 4)]
+    t = grown(keys[:500])
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        assert type(v) is Node and not hasattr(v, "parent")
+        stack += [c for c in (v.left, v.right) if c is not NIL]
+    top_down = built_bytes_per_key(
+        lambda: TopDownTree(PARAM_SETS["topdown"]), keys)
+    bottom_up = built_bytes_per_key(
+        lambda: BottomUpTree(PARAM_SETS["integral"]), keys)
+    assert top_down < 65 < 72 <= bottom_up
