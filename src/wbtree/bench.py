@@ -9,19 +9,22 @@ order; two runs with the same seed produce the same tree shapes.
 
 Timed phases repeat on a fresh clone of the base snapshot until the time
 floor is met or MAX_REPS have run, and report the per-op mean and standard
-deviation across repetitions. Cells always run sequentially in a fixed
-order: rows are deterministic, and one interpreter lock means thread
-workers would only add timing noise.
+deviation across repetitions. No metrics sink runs in the timed window:
+the counters come from one more, untimed rep on the base tree itself, so
+a time never includes counter upkeep, which costs the schemes
+differently. Cells always run sequentially in a fixed order: rows are
+deterministic, and one interpreter lock means thread workers would only
+add timing noise.
 
 Every cell (one variant, size and base tree) goes through _cell: the
 build, the experiment's run (timed reps on clones, one churn pass, or
 sampled op-pairs; it scans the tree and fills the rows) and one audit, all
-with the automatic cyclic collector off. Bottom-up and red-black trees are
-cyclic through their parent pointers, so only the collector frees them;
-left on, it would rescan every live tree hundreds of times per cell.
-Instead each dead clone is collected as the next rep starts, and one
-collection at the cell's end frees the rest of its trees. Top-down trees
-keep no parent links and are freed as soon as they are dropped.
+with the automatic cyclic collector off. Red-black trees are cyclic
+through their parent pointers, so only the collector frees them; left on,
+it would rescan every live tree hundreds of times per cell. Instead each
+dead clone is collected right after its rep, and one collection at the
+cell's end frees the rest of its trees. Weight-balanced trees keep no
+parent links and are freed as soon as they are dropped.
 """
 
 from __future__ import annotations
@@ -218,7 +221,7 @@ def _audit_cell(vs: VariantSpec, tree, spec: ExperimentSpec, where: str):
 
 def _gc_quiet(cell):
     """Run a harness cell with the automatic collector off, then collect
-    once to free its bottom-up and red-black trees, the cyclic ones; the
+    once to free its red-black trees, the only cyclic ones; the
     collector's state is restored however the cell exits."""
     @functools.wraps(cell)
     def quiet(*args):
@@ -240,27 +243,27 @@ def _gc_quiet(cell):
 
 
 def _timed_reps(spec: ExperimentSpec, base_tree, phase):
-    """Clone, run phase, repeat until the floor or MAX_REPS. Returns
-    (durations ns, sink state of the last rep, last rep's tree)."""
+    """Clone, run phase, repeat until the floor or MAX_REPS, with no sink
+    in the timed window; then count the phase, untimed, on base_tree
+    itself with a sink attached. Returns (durations ns, that sink,
+    base_tree)."""
     floor = spec.time_floor_ms * 1_000_000
-    sink = MetricsSink()
     durations: list[int] = []
     spent = 0
     while not durations or (spent < floor and len(durations) < MAX_REPS):
-        if durations:
-            # The last rep's clone is garbage, and it is young: it was
-            # allocated with the collector off, so it is all in generation 0.
-            del t
-            gc.collect(0)
         t = base_tree.clone()
-        t.sink = sink
-        sink.reset()
         t0 = time.perf_counter_ns()
         phase(t)
         dt = time.perf_counter_ns() - t0
+        # The clone is garbage now, and young: it was allocated with the
+        # collector off, so it is all in generation 0.
+        del t
+        gc.collect(0)
         durations.append(dt)
         spent += dt
-    return durations, sink, t
+    base_tree.sink = sink = MetricsSink()
+    phase(base_tree)
+    return durations, sink, base_tree
 
 
 def _fill(spec: ExperimentSpec, vs: VariantSpec, size: int, sink,

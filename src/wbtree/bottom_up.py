@@ -1,43 +1,43 @@
 """Two-pass weight-balanced tree: plain BST edit, then repair on the way up.
 
-The downward pass finds the edit point exactly as an unbalanced BST would.
-A delete then unlinks its node with one of core's link edits, through its
-parent-writing wrapper: linked_splice_out for a node with at most one
-child, linked_relink_predecessor for one with two. Both return the lowest
-node that lost a descendant, where the upward pass starts. That pass
-walks the ancestor chain to the root, refreshing each node's weight from
-its children and repairing any overhang with a single or double rotation
-chosen by the gamma test; every rotation goes through core's linked_
-wrappers. Every ancestor is re-checked; deletions can push imbalance
-arbitrarily far up, so there is no early exit.
+The downward pass finds the edit point exactly as an unbalanced BST would,
+recording the nodes it passes in a list headed by the sentinel; it changes
+nothing, so a key comparison that raises leaves the tree as it was. A
+delete then unlinks its node with one of core's link edits: splice_out for
+a node with at most one child, relink_predecessor for one with two, whose
+path first extends down the left child's right spine to the predecessor,
+which then takes the deleted node's slot in the list. The upward pass walks
+the list back to the root, refreshing each node's weight from its children
+and repairing any overhang with a single or double rotation chosen by the
+gamma test; each node's parent is the entry before it. Every ancestor is
+re-checked; deletions can push imbalance arbitrarily far up, so there is no
+early exit. Nodes carry no parent link.
 
 Neither pass keeps a counter. With a metrics sink attached, an op books its
-node touches once, before the upward pass, from the length of the parent
-chain that pass will walk (core.chain_length): an insert touches that chain
-twice, once going down and once coming up, plus one.
+node touches once, from the length of the recorded path: an insert touches
+the path twice, once going down and once coming up, plus the new node.
 """
 
 from __future__ import annotations
 
-from .core import (NIL, LinkedNode, Tree, chain_length, linked_left,
-                   linked_relink_predecessor, linked_right, linked_splice_out,
-                   rotate_left, rotate_right, subtree_maximum)
+from .core import (NIL, Node, Tree, relink_predecessor, rotate_left,
+                   rotate_right, splice_out)
 
 
 class BottomUpTree(Tree):
 
-    node = LinkedNode
-
-    def insert(self, key) -> LinkedNode:
+    def insert(self, key) -> Node:
         nil = NIL
         v = self.root
-        node = LinkedNode(key, nil, nil, 2)
+        node = Node(key, nil, nil, 2)
         if v is nil:
-            node.parent = nil
             self.root = node
             self.size = 1
             return node
+        path = [nil]
+        push = path.append
         while True:
+            push(v)
             if key <= v.key:
                 c = v.left
                 if c is nil:
@@ -49,78 +49,88 @@ class BottomUpTree(Tree):
                     v.right = node
                     break
             v = c
-        node.parent = v
         self.size += 1
         sink = self.sink
         if sink is not None:
-            # The descent and the upward pass each touch v's chain once.
-            sink.touch_count += 1 + 2 * chain_length(v)
-        self._repair_upward(v)
+            # The descent and the upward pass each touch the path once.
+            sink.touch_count += 2 * len(path) - 1
+        self._repair_upward(path)
         return node
 
     def delete(self, key) -> bool:
         nil = NIL
-        v = self.search(key)
-        if v is None:
+        path = [nil]
+        push = path.append
+        v = self.root
+        while v is not nil:
+            k = v.key
+            if key == k:
+                break
+            push(v)
+            v = v.left if key < k else v.right
+        else:
             sink = self.sink
             if sink is not None:
-                # Book the nodes the search visited; walking the path again
-                # keeps a miss without a sink free of per-level counting.
-                v = self.root
-                while v is not nil:
-                    sink.touch_count += 1
-                    v = v.left if key < v.key else v.right
+                sink.touch_count += len(path) - 1
             return False
 
+        p = path[-1]
         if v.left is not nil and v.right is not nil:
             # Relink the predecessor (max of the left subtree) into v's
             # position; the upward pass refreshes the weights it left stale.
-            low = linked_relink_predecessor(self, v,
-                                            subtree_maximum(v.left))
+            i = len(path)
+            push(v)
+            u = v.left
+            while u.right is not nil:
+                push(u)
+                u = u.right
+            relink_predecessor(self, v, p, u, path[-1])
+            path[i] = u
             touches = 3
         else:
-            low = linked_splice_out(self, v)
+            splice_out(self, v, p)
             touches = 1
         self.size -= 1
         sink = self.sink
         if sink is not None:
-            sink.touch_count += touches + chain_length(low)
-        self._repair_upward(low)
+            sink.touch_count += touches + len(path) - 1
+        self._repair_upward(path)
         return True
 
-    def _repair_upward(self, start: LinkedNode):
-        """Refresh weights and fix overhangs from start to the root."""
+    def _repair_upward(self, path: list):
+        """Refresh weights and fix overhangs along path, a root-first list
+        of nodes headed by the sentinel, from its last node to the root."""
         nil = NIL
         dn = self._dn
         dd = self._dd
         gn = self._gn
         gd = self._gd
-        v = start
-        while v is not nil:
-            parent = v.parent
+        up = reversed(path)
+        v = next(up)
+        for p in up:
             l = v.left
             r = v.right
             wl = l.weight
             wr = r.weight
             v.weight = wl + wr
-            if wl * dn < wr * dd:
-                # Right side too heavy; raise it. The gamma test compares the
-                # heavy child's inner grandchild against the outer one; a tie
-                # goes to the double rotation — with integral parameters a
-                # tied single can leave the raised child unbalanced. An
-                # empty inner grandchild cannot rise: under gamma = 1 it
-                # ties a leaf's empty outer one, and turning it would
-                # rotate the shared sentinel.
-                m = r.left
-                if m is not nil and m.weight * gd >= r.right.weight * gn:
-                    linked_right(rotate_right, self, r)
-                linked_left(rotate_left, self, v)
+            # Delta >= 1, so only the lighter side can be out of balance:
+            # one cross-multiplied test per level.
+            if wl < wr:
+                if wl * dn < wr * dd:
+                    # Right side too heavy; raise it. The gamma test compares
+                    # the heavy child's inner grandchild against the outer
+                    # one; a tie goes to the double rotation — with integral
+                    # parameters a tied single can leave the raised child
+                    # unbalanced. An empty inner grandchild cannot rise:
+                    # under gamma = 1 it ties a leaf's empty outer one, and
+                    # turning it would rotate the shared sentinel.
+                    m = r.left
+                    if m is not nil and m.weight * gd >= r.right.weight * gn:
+                        rotate_right(self, r, v)
+                    rotate_left(self, v, p)
             elif wr * dn < wl * dd:
                 m = l.right
                 if m is not nil and m.weight * gd >= l.left.weight * gn:
-                    linked_left(rotate_left, self, l)
-                linked_right(rotate_right, self, v)
-            v = parent
-        # Splices and rotations may aim the sentinel's parent at real nodes;
-        # re-loop it so the tree rests with the sentinel self-looped.
-        nil.parent = nil
+                    rotate_left(self, l, v)
+                rotate_right(self, v, p)
+            v = p

@@ -1,30 +1,30 @@
-"""Node layouts, rotations, and the BST plumbing all three trees share.
+"""The weight-balanced node, rotations, and the BST plumbing all three trees
+share.
 
 Weight convention: weight(v) = number of nodes in the subtree rooted at v,
 plus one. An empty subtree has weight 1, a leaf has weight 2, and
 weight(v) = weight(left(v)) + weight(right(v)) holds at every node.
 
-Two node layouts: Node (key, left, right, weight) for the top-down tree,
-which rebalances on the way down and never climbs back, and LinkedNode,
-which adds a parent link for the bottom-up tree's upward pass. Only the
-parent-linked trees (bottom-up, and the red-black baseline with its own
-node class) are cyclic; a top-down tree is freed by reference counting.
+Both weight-balanced trees use one node layout, Node (key, left, right,
+weight), with no parent link: the top-down tree never climbs back, and the
+bottom-up tree's upward pass walks the descent path it recorded. Only the
+red-black baseline, with its own node class, is cyclic; a weight-balanced
+tree is freed by reference counting.
 
 Empty children are the shared NIL sentinel, which carries weight 1 so weight
-reads never branch. NIL's parent field is scratch space; the linked_
-wrappers may write it and nothing ever reads it. Trees are multisets:
-insertion sends equal keys left, but a rotation can later carry an equal
-key into a right subtree, so the maintained invariant is the weaker one —
-the in-order key sequence is non-decreasing (search still works: every run
-of equal keys is reachable by the usual three-way descent). Single-writer
-only; nothing here is safe for concurrent mutation.
+reads never branch. Trees are multisets: insertion sends equal keys left,
+but a rotation can later carry an equal key into a right subtree, so the
+maintained invariant is the weaker one — the in-order key sequence is
+non-decreasing (search still works: every run of equal keys is reachable
+by the usual three-way descent). Single-writer only; nothing here is safe
+for concurrent mutation.
 
 SearchTree (len, search, in-order keys) and the link edits link_left,
 link_right and splice_out read the tree's own sentinel, tree.nil, so the
 red-black baseline, which has a sentinel per tree, runs the same code.
 Every link edit exists once and writes no parent field; the linked_
-wrappers add the parent writes. Weights, rotation booking and the
-predecessor relink are for the weight-balanced trees only.
+wrappers add the red-black tree's parent writes. Weights, rotation booking
+and the predecessor relink are for the weight-balanced trees only.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .params import BalanceParams
 class Node:
     """A weight-balanced node: key, two children and the subtree weight.
 
-    The top-down tree never climbs back up, so its nodes carry no parent.
+    Neither scheme reads a parent, so nodes carry none.
     """
 
     __slots__ = ("key", "left", "right", "weight")
@@ -50,20 +50,11 @@ class Node:
         return f"Node(key={self.key!r}, weight={self.weight})"
 
 
-class LinkedNode(Node):
-    """A Node with a parent link, for the bottom-up tree's upward pass.
-    The constructor is Node's; whoever builds one sets its parent."""
-
-    __slots__ = ("parent",)
-
-
 # Shared empty-subtree sentinel. Its children self-loop so a traversal bug
-# spins instead of raising on None, which is easier to catch in tests. It is
-# a LinkedNode so that the bottom-up tree's parent writes may land on it.
-NIL = LinkedNode(None, weight=1)
+# spins instead of raising on None, which is easier to catch in tests.
+NIL = Node(None, weight=1)
 NIL.left = NIL
 NIL.right = NIL
-NIL.parent = NIL
 
 
 class SearchTree:
@@ -106,12 +97,10 @@ class SearchTree:
 class Tree(SearchTree):
     """Shared state of both weight-balanced rebalancing schemes.
 
-    Subclasses implement insert/delete and name their node class, which
-    clone copies: Node, or LinkedNode for a tree that keeps parent links.
+    Subclasses implement insert/delete.
     """
 
     nil = NIL
-    node = Node
 
     def __init__(self, params: BalanceParams, sink=None):
         self.root = NIL
@@ -131,11 +120,7 @@ class Tree(SearchTree):
         src = self.root
         if src is NIL:
             return dup
-        make = self.node
-        linked = issubclass(make, LinkedNode)
-        top = make(src.key, NIL, NIL, src.weight)
-        if linked:
-            top.parent = NIL
+        top = Node(src.key, NIL, NIL, src.weight)
         dup.root = top
         stack = [(src, top)]
         pop = stack.pop
@@ -144,16 +129,12 @@ class Tree(SearchTree):
             old, new = pop()
             ol = old.left
             if ol is not NIL:
-                c = make(ol.key, NIL, NIL, ol.weight)
-                if linked:
-                    c.parent = new
+                c = Node(ol.key, NIL, NIL, ol.weight)
                 new.left = c
                 push((ol, c))
             orr = old.right
             if orr is not NIL:
-                c = make(orr.key, NIL, NIL, orr.weight)
-                if linked:
-                    c.parent = new
+                c = Node(orr.key, NIL, NIL, orr.weight)
                 new.right = c
                 push((orr, c))
         return dup
@@ -166,20 +147,12 @@ def subtree_maximum(v: Node) -> Node:
     return v
 
 
-def chain_length(v: LinkedNode) -> int:
-    """Nodes from v up to the root, both included; 0 for NIL."""
-    n = 0
-    while v is not NIL:
-        n += 1
-        v = v.parent
-    return n
-
-
 # The link edits. Each takes the parent p of the node it unlinks or lowers
 # (the sentinel for the root), edits child links only and writes no parent
-# field, so the parent-free top-down tree runs them as they are. A tree whose
-# nodes carry parent links runs each through its linked_ wrapper below,
-# which reads p from v and writes the parent fields the edit moved.
+# field, so the parent-free weight-balanced trees run them as they are. The
+# red-black tree, whose nodes carry parent links, runs each through its
+# linked_ wrapper below, which reads p from v and writes the parent fields
+# the edit moved.
 
 def splice_out(tree, v, p):
     """Unlink v, which has at most one real child, lifting that child (the
@@ -277,22 +250,22 @@ def rotate_right(tree: Tree, v: Node, p: Node) -> Node:
     return r
 
 
-def linked_left(edit, tree, v):
-    """Run a left edit (link_left or rotate_left) at v on a parent-linked
-    tree, then write the parents it moved: the inner grandchild's (set
-    even when it is the sentinel), the raised node's and v's."""
+def linked_left(tree, v):
+    """link_left at v on a parent-linked tree, then write the parents it
+    moved: the inner grandchild's (set even when it is the sentinel), the
+    raised node's and v's."""
     p = v.parent
-    r = edit(tree, v, p)
+    r = link_left(tree, v, p)
     v.right.parent = v
     r.parent = p
     v.parent = r
     return r
 
 
-def linked_right(edit, tree, v):
-    """Mirror of linked_left, for link_right or rotate_right."""
+def linked_right(tree, v):
+    """Mirror of linked_left, for link_right."""
     p = v.parent
-    r = edit(tree, v, p)
+    r = link_right(tree, v, p)
     v.left.parent = v
     r.parent = p
     v.parent = r
@@ -301,23 +274,9 @@ def linked_right(edit, tree, v):
 
 def linked_splice_out(tree, v):
     """splice_out on a parent-linked tree; the lifted child's parent is set
-    even when it is the sentinel. Returns v's old parent (the sentinel for
-    the root), the lowest node that lost a descendant."""
+    even when it is the sentinel."""
     p = v.parent
     splice_out(tree, v, p).parent = p
-    return p
-
-
-def linked_relink_predecessor(tree: Tree, v: LinkedNode,
-                              u: LinkedNode) -> LinkedNode:
-    """relink_predecessor on a parent-linked tree; same answer."""
-    g = v.parent
-    low = relink_predecessor(tree, v, g, u, u.parent)
-    low.right.parent = low
-    u.left.parent = u
-    u.right.parent = u
-    u.parent = g
-    return low
 
 
 def structure_string(tree) -> str:

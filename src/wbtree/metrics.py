@@ -91,7 +91,11 @@ def count_violations(tree: Tree) -> int:
         r = v.right
         wl = l.weight
         wr = r.weight
-        if wl * dn < wr * dd or wr * dn < wl * dd:
+        # Delta >= 1, so only the lighter side can be out of balance.
+        if wl < wr:
+            if wl * dn < wr * dd:
+                bad += 1
+        elif wr * dn < wl * dd:
             bad += 1
         if l is not NIL:
             push(l)

@@ -1,17 +1,15 @@
 """Independent referee for the tree implementations.
 
 Everything here is deliberately written against the node interface only
-(key/left/right/weight, parent where the nodes carry one, and the tree's
-nil sentinel) and shares no traversal or predicate code with the
-implementations it judges:
+(key/left/right/weight and the tree's nil sentinel) and shares no
+traversal or predicate code with the implementations it judges:
 
 * SortedMultisetOracle — a bisect-maintained sorted list with the same
   multiset semantics the trees promise (insert always succeeds, delete
   removes one instance and reports whether it found one).
 * audit_structure — one iterative post-order walk recounts every subtree
-  from scratch and checks stored weights, key ordering, the cached size,
-  and parent links when the tree's nodes carry them (the top-down tree's
-  do not).
+  from scratch and checks stored weights, key ordering and the cached
+  size (weight-balanced nodes carry no parent links to check).
 * audit_balance — the same single walk, which also applies the balance
   inequalities to the true weights in exact integer arithmetic: with
   delta = n/m exactly, wl*n >= wr*m and wr*n >= wl*m; classic, the only
@@ -79,9 +77,6 @@ def _walk(tree, ok) -> tuple[list[str], list[str]]:
         if tree.size != 0:
             out.append(f"empty tree reports size {tree.size}")
         return out, unbalanced
-    linked = hasattr(root, "parent")
-    if linked and root.parent is not nil:
-        out.append("root parent is not the sentinel")
     done: list[tuple] = []
     # A node is pushed to be expanded; once expanded it sits under a None
     # marker, and popping the marker finishes it.
@@ -110,8 +105,6 @@ def _walk(tree, ok) -> tuple[list[str], list[str]]:
             ln, llo, lhi = done.pop()
             if llo < lo:
                 lo = llo
-            if linked and l.parent is not v:
-                out.append(f"left child of {key!r} has a wrong parent link")
             if lhi > key:  # hi is still key
                 hi = lhi
                 out.append(f"order: {lhi!r} sits left of {key!r}")
@@ -120,8 +113,6 @@ def _walk(tree, ok) -> tuple[list[str], list[str]]:
                 lo = rlo
             if rhi > hi:
                 hi = rhi
-            if linked and r.parent is not v:
-                out.append(f"right child of {key!r} has a wrong parent link")
             if rlo < key:
                 # Equal keys may legitimately sit right of their twin after
                 # a rotation; only a strictly smaller key is a defect.

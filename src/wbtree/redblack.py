@@ -15,8 +15,7 @@ root-to-leaf path crosses the same number of black nodes.
 
 from __future__ import annotations
 
-from .core import (SearchTree, link_left, link_right, linked_left,
-                   linked_right, linked_splice_out)
+from .core import SearchTree, linked_left, linked_right, linked_splice_out
 
 RED = True
 BLACK = False
@@ -94,13 +93,13 @@ class RedBlackTree(SearchTree):
         sink = self.sink
         if sink is not None:
             sink.record_rotation(self._subtree_weight(v))
-        linked_left(link_left, self, v)
+        linked_left(self, v)
 
     def _rotate_right(self, v: RbNode):
         sink = self.sink
         if sink is not None:
             sink.record_rotation(self._subtree_weight(v))
-        linked_right(link_right, self, v)
+        linked_right(self, v)
 
     def insert(self, key) -> RbNode:
         nil = self.nil

@@ -26,14 +26,14 @@ def nil_sentinel_guard():
     """Fail the test that corrupts the shared NIL sentinel, and restore it.
 
     Every weight-balanced tree in the process shares NIL, so a corrupted
-    sentinel would otherwise poison every tree built after it. NIL's parent
-    is scratch space and is not checked.
+    sentinel would otherwise poison every tree built after it. NIL is a
+    plain Node, with no parent field to check.
     """
     yield
     state = (NIL.key, NIL.weight, NIL.left is NIL, NIL.right is NIL)
     if state != (None, 1, True, True):
         NIL.key = None
         NIL.weight = 1
-        NIL.left = NIL.right = NIL.parent = NIL
+        NIL.left = NIL.right = NIL
         pytest.fail("shared NIL sentinel corrupted: (key, weight, left is "
                     f"NIL, right is NIL) = {state}", pytrace=False)

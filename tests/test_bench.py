@@ -29,9 +29,9 @@ from wbtree.bench import (
     tree_shape,
 )
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import LinkedNode, Node
+from wbtree.core import Node
 from wbtree.keygen import STREAM_BASE, derive_seed, generate
-from wbtree.metrics import CSV_COLUMNS
+from wbtree.metrics import CSV_COLUMNS, MetricsSink
 from wbtree.params import PARAM_SETS, params_from_name
 from wbtree.redblack import RbNode, RedBlackTree
 
@@ -237,7 +237,7 @@ def test_timed_cells_leave_no_trees_behind(experiment):
     # collection. The automatic collector stays off, so none runs.
     def live_nodes():
         return sum(1 for o in gc.get_objects()
-                   if type(o) in (Node, LinkedNode, RbNode))
+                   if type(o) in (Node, RbNode))
 
     gc.collect()
     before = live_nodes()
@@ -252,6 +252,33 @@ def test_timed_cells_leave_no_trees_behind(experiment):
         gc.enable()
     if experiment in ("insert-pct", "erase-pct", "replay"):
         assert all(r.rep > 1 for r in res.rows)
+
+
+def test_timed_reps_run_without_a_sink_then_count_once_more():
+    # The timed reps see no sink; one more rep, on the base tree itself,
+    # counts the phase, so the counters are exactly one phase's.
+    base = BottomUpTree(PARAM_SETS["integral"])
+    for k in range(200):
+        base.insert(k)
+    sinks = []
+
+    def phase(t):
+        sinks.append(t.sink)
+        for k in range(200, 300):
+            t.insert(k)
+
+    spec = tiny_spec("insert-pct", [], time_floor_ms=20)
+    durations, sink, final = bench._timed_reps(spec, base, phase)
+    assert len(durations) > 1 and len(sinks) == len(durations) + 1
+    assert sinks[:-1] == [None] * len(durations) and sinks[-1] is sink
+    once = BottomUpTree(PARAM_SETS["integral"])
+    for k in range(200):
+        once.insert(k)
+    once.sink = MetricsSink()
+    phase(once)
+    assert (sink.rotation_count, sink.touch_count) == (
+        once.sink.rotation_count, once.sink.touch_count) != (0, 0)
+    assert final is base and final.inorder_keys() == list(range(300))
 
 
 def test_erase_pct_shares_victims():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import NIL, LinkedNode
+from wbtree.core import NIL
 from wbtree.metrics import MetricsSink, count_violations, max_depth
 from wbtree.oracle import SortedMultisetOracle, audit_balance, audit_structure
 from wbtree.params import PARAM_SETS, make_params
 
-from test_core import dump
+from test_core import build, dump
+from test_top_down import Fuse
 
 
 def grown(keys, params=PARAM_SETS["integral"], sink=None):
@@ -34,7 +35,7 @@ def test_insert_returns_new_node():
     n = t.insert(7)
     assert n is t.root and n.key == 7
     m = t.insert(3)
-    assert m.key == 3 and m.parent is n
+    assert m.key == 3 and n.left is m
 
 
 def test_sorted_inserts_stay_balanced():
@@ -73,6 +74,30 @@ def test_delete_of_absent_key_books_its_search_path():
     before = sink.touch_count
     assert t.delete(777) is False
     assert sink.touch_count - before == path > 0
+
+
+@pytest.mark.parametrize("op,present", [("insert", False),
+                                        ("delete", True), ("delete", False)])
+def test_raising_comparison_changes_nothing(op, present):
+    # The descent only records its path, so a key that raises at any
+    # comparison leaves every link and weight as it was.
+    rng = random.Random(13)
+    base = grown([2 * rng.randrange(150) for _ in range(300)])
+    keys = base.inorder_keys()
+    k = keys[len(keys) // 2] if present else 151
+    if present:  # a node with two children, so delete relinks
+        v = base.search(k)
+        assert v.left is not NIL and v.right is not NIL
+    spare = Fuse(k, 10 ** 6)
+    getattr(base.clone(), op)(spare)
+    needed = 10 ** 6 - spare.budget
+    assert needed > 2
+    before = dump(base)
+    for budget in range(needed):
+        t = base.clone()
+        with pytest.raises(RuntimeError):
+            getattr(t, op)(Fuse(k, budget))
+        assert dump(t) == before and len(t) == len(keys)
 
 
 def test_delete_one_child_node():
@@ -116,19 +141,8 @@ def test_delete_gamma_tie_takes_double_rotation():
     (6,1); if the heavy child splits (2,4) the gamma test ties (4 == 2*2)
     and a single rotation would re-root as (4,1) — still outside delta.
     """
-    def wire(shape, parent=NIL):
-        if shape is None:
-            return NIL
-        key, l, r = shape
-        v = LinkedNode(key, NIL, NIL)
-        v.parent = parent
-        v.left = wire(l, v)
-        v.right = wire(r, v)
-        v.weight = v.left.weight + v.right.weight
-        return v
-
     t = BottomUpTree(PARAM_SETS["integral"])
-    t.root = wire(
+    t.root = build(
         (50,
          (20, (10, None, None),
               (30, (25, None, None), (40, None, None))),

@@ -4,14 +4,9 @@ from hypothesis import given, strategies as st
 from wbtree.bottom_up import BottomUpTree
 from wbtree.core import (
     NIL,
-    LinkedNode,
     Node,
     Tree,
     link_left,
-    linked_left,
-    linked_relink_predecessor,
-    linked_right,
-    linked_splice_out,
     relink_predecessor,
     rotate_left,
     rotate_right,
@@ -22,11 +17,13 @@ from wbtree.core import (
 from wbtree.metrics import MetricsSink
 from wbtree.oracle import audit_structure
 from wbtree.params import PARAM_SETS
+from wbtree.redblack import RbNode, RedBlackTree
+from wbtree.redblack import audit as rb_audit
+from wbtree.top_down import TopDownTree
 
 
-def build(shape, parent=NIL, linked=True):
+def build(shape):
     """Build a node graph from (key, left, right) tuples; None is empty.
-    LinkedNodes with their parent links, or parent-free Nodes.
 
     Weights are computed from the shape, so tests tamper with them
     explicitly when they want a broken tree.
@@ -34,18 +31,14 @@ def build(shape, parent=NIL, linked=True):
     if shape is None:
         return NIL
     key, l, r = shape
-    v = (LinkedNode if linked else Node)(key, NIL, NIL)
-    if linked:
-        v.parent = parent
-    v.left = build(l, v, linked)
-    v.right = build(r, v, linked)
+    v = Node(key, build(l), build(r))
     v.weight = v.left.weight + v.right.weight
     return v
 
 
-def tree_of(shape, params=PARAM_SETS["integral"], linked=True):
+def tree_of(shape, params=PARAM_SETS["integral"]):
     t = Tree(params)
-    t.root = build(shape, linked=linked)
+    t.root = build(shape)
     t.size = 0 if t.root is NIL else t.root.weight - 1
     return t
 
@@ -68,8 +61,9 @@ def dump(t) -> str:
 
 def test_nil_sentinel_shape():
     assert NIL.weight == 1
-    assert NIL.left is NIL and NIL.right is NIL and NIL.parent is NIL
-    assert NIL.key is None
+    assert NIL.left is NIL and NIL.right is NIL
+    assert NIL.key is None and type(NIL) is Node
+    assert not hasattr(NIL, "parent")
 
 
 def test_manual_build_weights():
@@ -124,38 +118,44 @@ def test_clone_is_deep_and_unlinked():
 
 
 def test_clone_copies_the_node_class_with_its_parent_links():
-    # A tree clones into its own node class: Node for the base and top-down
-    # trees, LinkedNode, parents included, for the bottom-up tree.
-    for cls, node in ((Tree, Node), (BottomUpTree, LinkedNode)):
+    # A tree clones into its own node class: Node, which has no parent
+    # link, for both weight-balanced schemes; RbNode, parents included, for
+    # the red-black tree.
+    shape = (10, (5, None, None), (20, (15, None, None), None))
+    for cls in (Tree, TopDownTree, BottomUpTree):
         t = cls(PARAM_SETS["integral"])
-        t.root = build((10, (5, None, None), (20, (15, None, None), None)))
+        t.root = build(shape)
         t.size = 4
         c = t.clone()
         assert dump(c) == dump(t)
-        assert {type(c.root), type(c.root.right.left)} == {node}
-        assert audit_structure(c) == []  # checks the parents it carries
-        if node is LinkedNode:
-            assert c.root.parent is NIL
-            assert c.root.right.left.parent is c.root.right
+        assert {type(c.root), type(c.root.right.left)} == {Node}
+        assert audit_structure(c) == []
+    t = RedBlackTree()
+    for k in (10, 5, 20, 15):
+        t.insert(k)
+    c = t.clone()
+    assert structure_string(c) == structure_string(t)
+    assert {type(c.root), type(c.root.right.left)} == {RbNode}
+    assert c.root.parent is c.nil
+    assert c.root.right.left.parent is c.root.right
+    assert rb_audit(c) == []  # checks the parent links
 
 
 def test_single_rotation_weights_and_links():
     t = tree_of((10, None, (20, None, (30, None, None))))
     sink = MetricsSink()
     t.sink = sink
-    top = linked_left(rotate_left, t, t.root)
+    top = rotate_left(t, t.root, NIL)
     assert top.key == 20 and t.root is top
     assert structure_string(t) == "(20 (10 . .) (30 . .))"
     assert (t.root.weight, t.root.left.weight, t.root.right.weight) == (4, 2, 2)
-    assert t.root.parent is NIL
-    assert t.root.left.parent is top and t.root.right.parent is top
     assert sink.rotation_count == 1
     assert sink.rotated_weight_total == 4  # pivot weight before the rotation
     assert audit_structure(t) == []
 
 
 def test_single_rotation_right_mirror():
-    t = tree_of((30, (20, (10, None, None), None), None), linked=False)
+    t = tree_of((30, (20, (10, None, None), None), None))
     top = rotate_right(t, t.root, NIL)
     assert structure_string(t) == "(20 (10 . .) (30 . .))"
     assert top.weight == 4
@@ -164,16 +164,14 @@ def test_single_rotation_right_mirror():
 
 def test_rotation_below_root_relinks_parent():
     t = tree_of((50, (10, None, (20, None, (30, None, None))), (60, None, None)))
-    linked_left(rotate_left, t, t.root.left)
+    top = rotate_left(t, t.root.left, t.root)
     assert structure_string(t) == "(50 (20 (10 . .) (30 . .)) (60 . .))"
-    assert t.root.left.parent is t.root
+    assert t.root.left is top
     assert audit_structure(t) == []
 
 
 def test_double_rotation_raises_inner_grandchild():
-    # The core edits alone, on parent-free nodes.
-    t = tree_of((10, (5, None, None), (20, (15, None, None), None)),
-                linked=False)
+    t = tree_of((10, (5, None, None), (20, (15, None, None), None)))
     sink = MetricsSink()
     t.sink = sink
     rotate_right(t, t.root.right, t.root)
@@ -195,9 +193,9 @@ def test_single_rotations_preserve_order_and_structure(keys):
         t.insert(k)
     before = t.inorder_keys()
     if t.root.right is not NIL:
-        linked_left(rotate_left, t, t.root)
+        rotate_left(t, t.root, NIL)
     if t.root.left is not NIL:
-        linked_right(rotate_right, t, t.root)
+        rotate_right(t, t.root, NIL)
     assert t.inorder_keys() == before
     assert audit_structure(t) == []
 
@@ -209,43 +207,42 @@ def test_double_rotations_preserve_order_and_structure(keys):
         t.insert(k)
     before = t.inorder_keys()
     if t.root.right is not NIL and t.root.right.left is not NIL:
-        linked_right(rotate_right, t, t.root.right)
-        linked_left(rotate_left, t, t.root)
+        rotate_right(t, t.root.right, t.root)
+        rotate_left(t, t.root, NIL)
     if t.root.left is not NIL and t.root.left.right is not NIL:
-        linked_left(rotate_left, t, t.root.left)
-        linked_right(rotate_right, t, t.root)
+        rotate_left(t, t.root.left, t.root)
+        rotate_right(t, t.root, NIL)
     assert t.inorder_keys() == before
     assert audit_structure(t) == []
 
 
-def settle(t, low):
-    """Refresh weights from low, a link edit's answer, up to the root."""
-    while low is not NIL:
-        low.weight = low.left.weight + low.right.weight
-        low = low.parent
+def settle(t, *path):
+    """Refresh weights along path, root first, after a delete's link edit
+    (which edits links only)."""
+    for v in reversed(path):
+        v.weight = v.left.weight + v.right.weight
     t.size -= 1
 
 
 def test_splice_out_leaf_one_child_and_root():
     t = tree_of((10, (5, None, None), (20, None, None)))
-    five = t.root.left
-    assert linked_splice_out(t, five) is t.root
+    assert splice_out(t, t.root.left, t.root) is NIL
     assert t.root.weight == 4  # links only; the caller refreshes weights
     settle(t, t.root)
     assert structure_string(t) == "(10 . (20 . .))"
     assert audit_structure(t) == []
 
     t = tree_of((10, (5, (2, None, None), None), (20, None, None)))
-    assert linked_splice_out(t, t.root.left) is t.root
-    assert t.root.left.key == 2 and t.root.left.parent is t.root
+    assert splice_out(t, t.root.left, t.root) is t.root.left
+    assert t.root.left.key == 2
     settle(t, t.root)
     assert structure_string(t) == "(10 (2 . .) (20 . .))"
     assert audit_structure(t) == []
 
     t = tree_of((10, None, (20, None, None)))
-    assert linked_splice_out(t, t.root) is NIL
-    assert t.root.key == 20 and t.root.parent is NIL
-    settle(t, NIL)
+    assert splice_out(t, t.root, NIL) is t.root
+    assert t.root.key == 20
+    settle(t)
     assert structure_string(t) == "(20 . .)"
     assert audit_structure(t) == []
 
@@ -255,13 +252,13 @@ def test_relink_predecessor_that_is_the_left_child(outer):
     # u = v.left keeps its own left subtree and gains v's right one.
     inner = (10, (5, (2, None, None), None), (20, None, None))
     t = tree_of((50, inner, (60, None, None)) if outer else inner)
+    g = t.root if outer else NIL
     v = t.root.left if outer else t.root
     u = v.left
-    assert linked_relink_predecessor(t, v, u) is u
+    assert relink_predecessor(t, v, g, u, v) is u
     assert (u.left.key, u.right.key) == (2, 20)
-    assert u.right.parent is u
-    assert u.parent is (t.root if outer else NIL)
-    settle(t, u)
+    assert (g.left if outer else t.root) is u
+    settle(t, *([g, u] if outer else [u]))
     shape = "(5 (2 . .) (20 . .))"
     assert structure_string(t) == (f"(50 {shape} (60 . .))" if outer else shape)
     assert audit_structure(t) == []
@@ -272,25 +269,26 @@ def test_relink_deeper_predecessor_hands_its_slot_to_its_left_child(outer):
     inner = (10, (5, (2, None, None), (8, (7, None, None), None)),
              (20, None, None))
     t = tree_of((50, inner, (60, None, None)) if outer else inner)
+    g = t.root if outer else NIL
     v = t.root.left if outer else t.root
     five = v.left
     u = subtree_maximum(five)
     assert u.key == 8
-    assert linked_relink_predecessor(t, v, u) is five
-    assert five.right.key == 7 and five.right.parent is five
-    assert u.left is five and five.parent is u
-    assert u.right.key == 20 and u.right.parent is u
-    settle(t, five)
+    assert relink_predecessor(t, v, g, u, five) is five
+    assert five.right.key == 7
+    assert u.left is five and u.right.key == 20
+    assert (g.left if outer else t.root) is u
+    settle(t, *([g, u, five] if outer else [u, five]))
     shape = "(8 (5 (2 . .) (7 . .)) (20 . .))"
     assert structure_string(t) == (f"(50 {shape} (60 . .))" if outer else shape)
     assert audit_structure(t) == []
 
 
 def test_core_edits_write_no_parent_field():
-    # On parent-free nodes each edit takes the parent as an argument: a
-    # splice, a predecessor relink and both link edits leave a sound tree.
+    # Each edit takes the parent as an argument: a splice, a predecessor
+    # relink and both link edits leave a sound tree of parent-free nodes.
     t = tree_of((10, (5, (2, None, None), (8, (7, None, None), None)),
-                 (20, None, (30, None, None))), linked=False)
+                 (20, None, (30, None, None))))
     five = t.root.left
     assert splice_out(t, t.root.right, t.root).key == 30
     assert relink_predecessor(t, t.root, NIL, five.right, five) is five

@@ -12,11 +12,13 @@ from wbtree.metrics import (
     max_depth,
     summarize_ns,
 )
-from wbtree.params import PARAM_SETS, make_params
+from wbtree.core import NIL
+from wbtree.params import PARAM_SETS, make_params, params_from_name
 from wbtree.redblack import RedBlackTree
 from wbtree.top_down import TopDownTree
 
 from test_core import tree_of
+from test_golden import PARAMS
 
 
 def test_sink_single_accumulates():
@@ -50,6 +52,52 @@ def test_count_violations_zero_on_balanced():
     for k in range(100):
         t2.insert(k)
     assert count_violations(t2) == 0
+
+
+def two_sided_violations(t) -> int:
+    """count_violations by its definition: both inequalities at every
+    node."""
+    dn, dd = t.params.dn, t.params.dd
+    bad = 0
+    stack = [t.root] if t.root is not NIL else []
+    while stack:
+        v = stack.pop()
+        wl, wr = v.left.weight, v.right.weight
+        if wl * dn < wr * dd or wr * dn < wl * dd:
+            bad += 1
+        stack += [c for c in (v.left, v.right) if c is not NIL]
+    return bad
+
+
+@pytest.mark.parametrize("name", PARAMS)
+def test_count_violations_matches_the_two_sided_test(rnd, name):
+    # Random trees under each set: unbalanced BSTs built by plain inserts,
+    # and trees each scheme churned, which the unsound sets leave out of
+    # balance. The one-sided scan must count exactly what both
+    # inequalities count, classic's floats included.
+    params = params_from_name(name)
+    seen = 0
+    for n in (0, 1, 2, 5, 40, 300):
+        keys = [rnd.randrange(n + 1) for _ in range(n)]
+        # Under delta = 10^9 nothing rotates: a plain BST, read under params.
+        plain = BottomUpTree(make_params(10 ** 9, 1))
+        for k in keys:
+            plain.insert(k)
+        plain.params = params
+        trees = [plain]
+        for cls in (TopDownTree, BottomUpTree):
+            t = cls(params)
+            for k in keys:
+                t.insert(k)
+            for k in keys[::3]:
+                t.delete(k)
+                t.insert(rnd.randrange(n + 1))
+            trees.append(t)
+        for t in trees:
+            want = two_sided_violations(t)
+            assert count_violations(t) == want
+            seen += want
+    assert seen > 0
 
 
 def test_average_depth_examples():

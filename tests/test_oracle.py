@@ -85,12 +85,6 @@ def test_audit_structure_accepts_duplicates_weakly_ordered():
     assert audit_structure(t) == []
 
 
-def test_audit_structure_catches_parent_tamper():
-    t = tree_of((2, (1, None, None), (3, None, None)))
-    t.root.left.parent = t.root.right
-    assert any("parent" in line for line in audit_structure(t))
-
-
 def test_audit_structure_catches_size_tamper():
     t = tree_of((2, (1, None, None), (3, None, None)))
     t.size = 5
@@ -140,26 +134,26 @@ def test_audits_walk_a_deep_spine_without_recursion():
 
 # Audit digests per scheme, recorded with the two-pass audit this walk
 # replaced: its audit_structure, and audit_structure followed by
-# audit_balance. The top-down digests were recorded while its nodes still
-# carried parents, over every fault but the two that need them.
+# audit_balance. Both were recorded while the scheme's nodes still carried
+# parents, over every fault but the two that need parent links (a child's
+# parent, the root's parent), which no weight-balanced node has now.
 AUDIT_SCHEMES = {"top_down": TopDownTree, "bottom_up": BottomUpTree}
 AUDIT_PARAMS = ("classic", "integral", "topdown", "tight", "overtight",
                 "custom:3/2:1/1")
 AUDIT_SIZES = (0, 1, 6, 40, 200)
 AUDIT_SEEDS = (1, 2, 3)
-FAULTS = (None, "weight+1", "weight-1", "key", "parent", "root", "size")
-PARENT_FAULTS = ("parent", "root")
+FAULTS = (None, "weight+1", "weight-1", "key", "size")
 STRUCTURE_GOLDEN = {
     "top_down":
         "e2ac344eeae275848bb4ab4b354522b46dee89afe2d27b050edef8da95e31456",
     "bottom_up":
-        "3de31ab082f144ad14c2bc60fc9cbe62d742d71c4ca782ebca0120bcd0895902",
+        "ae679461e497ef22bc739a0d60db7d7e87194f1666820f8d14af11d808c5c4c7",
 }
 BALANCE_GOLDEN = {
     "top_down":
         "54135c6eea6369bb19763b7a5ff8abcc9162be75c443da32c2b3168871d1d228",
     "bottom_up":
-        "0ad7fe21a8c7b3f67148c9d41616291ba0475d8080fda3106df162d0e69aae1c",
+        "30401cbbb812e7a6bf5d99fabdedefa2ba1a42735df6b1814ee11e601e98ee76",
 }
 
 
@@ -174,7 +168,7 @@ def faulted_tree(cls, name, size, seed, fault):
     for _ in range(2 * size):
         t.delete(rng.randrange(universe))
         t.insert(rng.randrange(universe))
-    # Pre-order, each node with its parent; top-down nodes carry none.
+    # Pre-order, each node with its parent.
     nodes, parent = [], {}
     stack = [t.root] if t.root is not t.nil else []
     while stack:
@@ -188,28 +182,21 @@ def faulted_tree(cls, name, size, seed, fault):
         t.size += 1
     elif fault in ("weight+1", "weight-1") and nodes:
         rng.choice(nodes).weight += 1 if fault == "weight+1" else -1
-    elif fault == "root" and nodes:
-        t.root.parent = rng.choice(nodes)
-    elif fault in ("key", "parent") and len(nodes) > 1:
+    elif fault == "key" and len(nodes) > 1:
         v = rng.choice(nodes[1:])
         p = parent[v]
-        if fault == "parent":
-            v.parent = rng.choice([u for u in nodes if u is not p])
-        else:
-            # Past its parent: a left child above it, a right one below.
-            v.key = p.key + 1 if v is p.left else p.key - 1
+        # Past its parent: a left child above it, a right one below.
+        v.key = p.key + 1 if v is p.left else p.key - 1
     return t
 
 
 def audit_digest(audit, scheme) -> str:
     cls = AUDIT_SCHEMES[scheme]
-    faults = [f for f in FAULTS
-              if scheme == "bottom_up" or f not in PARENT_FAULTS]
     h = hashlib.sha256()
     for name in AUDIT_PARAMS:
         for size in AUDIT_SIZES:
             for seed in AUDIT_SEEDS:
-                for fault in faults:
+                for fault in FAULTS:
                     t = faulted_tree(cls, name, size, seed, fault)
                     h.update(f"{scheme} {name} {size} {seed} {fault}\n"
                              f"{audit(t)!r}\n".encode())

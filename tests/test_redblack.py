@@ -28,6 +28,17 @@ def test_small_inserts_keep_properties():
     assert t.inorder_keys() == [10, 20, 30]
 
 
+def test_audit_catches_parent_tamper():
+    # Red-black nodes are the only ones left with parent links.
+    t = grown([2, 1, 3])
+    assert audit(t) == []
+    t.root.left.parent = t.root.right
+    assert "bad parent link at 1" in audit(t)
+    t = grown([2, 1, 3])
+    t.root.parent = t.root.left
+    assert "root parent not sentinel" in audit(t)
+
+
 def test_sorted_inserts_stay_logarithmic():
     t = grown(range(512))
     assert audit(t) == []

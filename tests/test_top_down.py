@@ -491,20 +491,26 @@ def test_raising_key_leaves_exact_weights(name):
 
 
 def test_top_down_trees_are_freed_without_the_collector():
+    # Neither weight-balanced scheme keeps parent links, so dropping a tree
+    # frees it by reference counting alone.
     was = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
-        t = grown(range(3000))
-        for k in range(0, 3000, 3):
-            t.delete(k)
-        t.delete(-1)
-        c = t.clone()
-        del t, c
-        assert gc.collect() == 0
-        # A bottom-up tree is still cyclic through its parent links, which
+        for make in (lambda: TopDownTree(PARAM_SETS["topdown"]),
+                     lambda: BottomUpTree(PARAM_SETS["integral"])):
+            t = make()
+            for k in range(3000):
+                t.insert(k)
+            for k in range(0, 3000, 3):
+                t.delete(k)
+            t.delete(-1)
+            c = t.clone()
+            del t, c
+            assert gc.collect() == 0
+        # A red-black tree is still cyclic through its parent links, which
         # is why the harness keeps its cells GC-quiet.
-        b = BottomUpTree(PARAM_SETS["integral"])
+        b = RedBlackTree()
         for k in range(100):
             b.insert(k)
         del b
@@ -528,16 +534,23 @@ def built_bytes_per_key(make, keys) -> float:
 
 
 def test_top_down_nodes_carry_no_parent_and_take_64_bytes():
+    # Both weight-balanced schemes build the same parent-free Node; the
+    # red-black baseline's nodes carry a parent and a colour.
     rng = random.Random(12)
     keys = [rng.randrange(1 << 60) for _ in range(10 ** 4)]
-    t = grown(keys[:500])
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        assert type(v) is Node and not hasattr(v, "parent")
-        stack += [c for c in (v.left, v.right) if c is not NIL]
+    for make in (lambda: TopDownTree(PARAM_SETS["topdown"]),
+                 lambda: BottomUpTree(PARAM_SETS["integral"])):
+        t = make()
+        for k in keys[:500]:
+            t.insert(k)
+        stack = [t.root]
+        while stack:
+            v = stack.pop()
+            assert type(v) is Node and not hasattr(v, "parent")
+            stack += [c for c in (v.left, v.right) if c is not NIL]
     top_down = built_bytes_per_key(
         lambda: TopDownTree(PARAM_SETS["topdown"]), keys)
     bottom_up = built_bytes_per_key(
         lambda: BottomUpTree(PARAM_SETS["integral"]), keys)
-    assert top_down < 65 < 72 <= bottom_up
+    red_black = built_bytes_per_key(RedBlackTree, keys)
+    assert max(top_down, bottom_up) < 65 < 72 <= red_black
