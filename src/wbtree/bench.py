@@ -19,12 +19,10 @@ add timing noise.
 Every cell (one variant, size and base tree) goes through _cell: the
 build, the experiment's run (timed reps on clones, one churn pass, or
 sampled op-pairs; it scans the tree and fills the rows) and one audit, all
-with the automatic cyclic collector off. Red-black trees are cyclic
-through their parent pointers, so only the collector frees them; left on,
-it would rescan every live tree hundreds of times per cell. Instead each
-dead clone is collected right after its rep, and one collection at the
-cell's end frees the rest of its trees. Weight-balanced trees keep no
-parent links and are freed as soon as they are dropped.
+with the automatic cyclic collector off. No tree is cyclic, so reference
+counting frees each one as soon as it is dropped; the collector would only
+rescan the live trees, since a build allocates enough to trigger it
+hundreds of times per cell.
 """
 
 from __future__ import annotations
@@ -220,22 +218,14 @@ def _audit_cell(vs: VariantSpec, tree, spec: ExperimentSpec, where: str):
 
 
 def _gc_quiet(cell):
-    """Run a harness cell with the automatic collector off, then collect
-    once to free its red-black trees, the only cyclic ones; the
-    collector's state is restored however the cell exits."""
+    """Run a harness cell with the automatic collector off; its state is
+    restored however the cell exits."""
     @functools.wraps(cell)
     def quiet(*args):
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            out = cell(*args)
-            # The cell's frame is gone, so its cyclic trees are unreachable.
-            # Its objects are young: the collector was off, and only
-            # _timed_reps' generation-0 collections ran, which move
-            # survivors to generation 1. So collecting generation 1 frees
-            # them all without scanning the caller's older heap.
-            gc.collect(1)
-            return out
+            return cell(*args)
         finally:
             if was_enabled:
                 gc.enable()
@@ -255,10 +245,8 @@ def _timed_reps(spec: ExperimentSpec, base_tree, phase):
         t0 = time.perf_counter_ns()
         phase(t)
         dt = time.perf_counter_ns() - t0
-        # The clone is garbage now, and young: it was allocated with the
-        # collector off, so it is all in generation 0.
+        # Free this clone before the next one is built.
         del t
-        gc.collect(0)
         durations.append(dt)
         spent += dt
     base_tree.sink = sink = MetricsSink()

@@ -35,9 +35,8 @@ class BottomUpTree(Tree):
             self.size = 1
             return node
         path = [nil]
-        push = path.append
         while True:
-            push(v)
+            path.append(v)
             if key <= v.key:
                 c = v.left
                 if c is nil:
@@ -60,13 +59,12 @@ class BottomUpTree(Tree):
     def delete(self, key) -> bool:
         nil = NIL
         path = [nil]
-        push = path.append
         v = self.root
         while v is not nil:
             k = v.key
             if key == k:
                 break
-            push(v)
+            path.append(v)
             v = v.left if key < k else v.right
         else:
             sink = self.sink
@@ -79,10 +77,10 @@ class BottomUpTree(Tree):
             # Relink the predecessor (max of the left subtree) into v's
             # position; the upward pass refreshes the weights it left stale.
             i = len(path)
-            push(v)
+            path.append(v)
             u = v.left
             while u.right is not nil:
-                push(u)
+                path.append(u)
                 u = u.right
             relink_predecessor(self, v, p, u, path[-1])
             path[i] = u

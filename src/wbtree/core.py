@@ -7,9 +7,9 @@ weight(v) = weight(left(v)) + weight(right(v)) holds at every node.
 
 Both weight-balanced trees use one node layout, Node (key, left, right,
 weight), with no parent link: the top-down tree never climbs back, and the
-bottom-up tree's upward pass walks the descent path it recorded. Only the
-red-black baseline, with its own node class, is cyclic; a weight-balanced
-tree is freed by reference counting.
+bottom-up tree's upward pass walks the descent path it recorded. The
+red-black baseline's RbNode has no parent link either, so no tree is
+cyclic and every tree is freed by reference counting.
 
 Empty children are the shared NIL sentinel, which carries weight 1 so weight
 reads never branch. Trees are multisets: insertion sends equal keys left,
@@ -20,11 +20,11 @@ by the usual three-way descent). Single-writer only; nothing here is safe
 for concurrent mutation.
 
 SearchTree (len, search, in-order keys) and the link edits link_left,
-link_right and splice_out read the tree's own sentinel, tree.nil, so the
-red-black baseline, which has a sentinel per tree, runs the same code.
-Every link edit exists once and writes no parent field; the linked_
-wrappers add the red-black tree's parent writes. Weights, rotation booking
-and the predecessor relink are for the weight-balanced trees only.
+link_right and splice_out read the tree class's sentinel, tree.nil, so the
+red-black baseline, whose sentinel is its own black RbNode, runs the same
+code. Every link edit exists once and takes the parent of the node it
+moves as an argument. Weights, rotation booking and the predecessor relink
+are for the weight-balanced trees only.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ NIL.right = NIL
 class SearchTree:
     """Read-only operations shared by all three trees.
 
-    Empty children are the tree's own sentinel, self.nil: the shared NIL
-    for the weight-balanced trees, a per-tree one for the red-black tree.
+    Empty children are the tree class's sentinel, self.nil: the shared NIL
+    for the weight-balanced trees, redblack.RB_NIL for the red-black tree.
     """
 
     def __len__(self):
@@ -140,19 +140,9 @@ class Tree(SearchTree):
         return dup
 
 
-def subtree_maximum(v: Node) -> Node:
-    """Rightmost node below v; v must not be NIL."""
-    while v.right is not NIL:
-        v = v.right
-    return v
-
-
 # The link edits. Each takes the parent p of the node it unlinks or lowers
-# (the sentinel for the root), edits child links only and writes no parent
-# field, so the parent-free weight-balanced trees run them as they are. The
-# red-black tree, whose nodes carry parent links, runs each through its
-# linked_ wrapper below, which reads p from v and writes the parent fields
-# the edit moved.
+# (the sentinel for the root) and edits child links only: no node in any
+# tree has a parent field.
 
 def splice_out(tree, v, p):
     """Unlink v, which has at most one real child, lifting that child (the
@@ -248,35 +238,6 @@ def rotate_right(tree: Tree, v: Node, p: Node) -> Node:
     v.weight = v.left.weight + v.right.weight
     r.weight = r.left.weight + v.weight
     return r
-
-
-def linked_left(tree, v):
-    """link_left at v on a parent-linked tree, then write the parents it
-    moved: the inner grandchild's (set even when it is the sentinel), the
-    raised node's and v's."""
-    p = v.parent
-    r = link_left(tree, v, p)
-    v.right.parent = v
-    r.parent = p
-    v.parent = r
-    return r
-
-
-def linked_right(tree, v):
-    """Mirror of linked_left, for link_right."""
-    p = v.parent
-    r = link_right(tree, v, p)
-    v.left.parent = v
-    r.parent = p
-    v.parent = r
-    return r
-
-
-def linked_splice_out(tree, v):
-    """splice_out on a parent-linked tree; the lifted child's parent is set
-    even when it is the sentinel."""
-    p = v.parent
-    splice_out(tree, v, p).parent = p
 
 
 def structure_string(tree) -> str:

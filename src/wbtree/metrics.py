@@ -31,11 +31,6 @@ class MetricsSink:
         self.rotation_count += 1
         self.rotated_weight_total += pivot_weight
 
-    def reset(self):
-        self.rotation_count = 0
-        self.rotated_weight_total = 0
-        self.touch_count = 0
-
 
 @dataclass
 class MetricsRecord:
@@ -108,7 +103,7 @@ def _level_sizes(tree) -> list[int]:
     """Node count at each depth, root first; [] for an empty tree.
 
     Works for any tree exposing root and a nil sentinel (the red-black
-    baseline keeps a per-tree sentinel, so the shared NIL is not assumed).
+    baseline has its own, so the weight-balanced NIL is not assumed).
     """
     nil = tree.nil
     level = [tree.root] if tree.root is not nil else []

@@ -9,7 +9,7 @@ traversal or predicate code with the implementations it judges:
   removes one instance and reports whether it found one).
 * audit_structure — one iterative post-order walk recounts every subtree
   from scratch and checks stored weights, key ordering and the cached
-  size (weight-balanced nodes carry no parent links to check).
+  size (no node carries a parent link to check).
 * audit_balance — the same single walk, which also applies the balance
   inequalities to the true weights in exact integer arithmetic: with
   delta = n/m exactly, wl*n >= wr*m and wr*n >= wl*m; classic, the only

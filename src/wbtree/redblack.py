@@ -3,11 +3,13 @@
 Same multiset contract as the weight-balanced trees: equal keys descend
 left, search returns the first match on the path, delete removes one node.
 Search, the in-order walk, the rotation link edits and the one-child
-splice are core's, run on this tree's own sentinel through core's
-parent-writing linked_ wrappers.
-Nodes carry key, three links, and a color bit; there is no weight field, so
-when a metrics sink asks for rotation weights the pivot's subtree is counted
-on demand.
+splice are core's. Nodes carry key, two children and a colour bit, and no
+parent link: insert and delete record the nodes they pass in a per-op list
+headed by the sentinel, as the bottom-up weight-balanced tree does, and
+the fixups (Cormen et al., ch. 13) walk that list back by index, handing
+each rotation the pivot's parent. No node has a weight field, so when a
+metrics sink asks for rotation weights the pivot's subtree is counted on
+demand.
 
 Invariants: the root is black, a red node has no red child, and every
 root-to-leaf path crosses the same number of black nodes.
@@ -15,20 +17,19 @@ root-to-leaf path crosses the same number of black nodes.
 
 from __future__ import annotations
 
-from .core import SearchTree, linked_left, linked_right, linked_splice_out
+from .core import SearchTree, link_left, link_right, splice_out
 
 RED = True
 BLACK = False
 
 
 class RbNode:
-    __slots__ = ("key", "left", "right", "parent", "red")
+    __slots__ = ("key", "left", "right", "red")
 
-    def __init__(self, key, left=None, right=None, parent=None, red=True):
+    def __init__(self, key, left=None, right=None, red=True):
         self.key = key
         self.left = left
         self.right = right
-        self.parent = parent
         self.red = red
 
     def __repr__(self):
@@ -36,46 +37,49 @@ class RbNode:
         return f"RbNode({self.key!r}, {color})"
 
 
+# Shared empty-subtree sentinel of every red-black tree: black, with
+# self-looping children like core.NIL.
+RB_NIL = RbNode(None, red=False)
+RB_NIL.left = RB_NIL
+RB_NIL.right = RB_NIL
+
+
 class RedBlackTree(SearchTree):
 
+    nil = RB_NIL
+
     def __init__(self, sink=None):
-        nil = RbNode(None, red=False)
-        nil.left = nil
-        nil.right = nil
-        nil.parent = nil
-        self.nil = nil
-        self.root = nil
+        self.root = RB_NIL
         self.size = 0
         self.sink = sink
 
     def clone(self) -> "RedBlackTree":
         """Structure- and color-preserving copy with fresh nodes."""
         dup = RedBlackTree(sink=None)
-        nil = self.nil
-        dnil = dup.nil
+        nil = RB_NIL
         dup.size = self.size
         src = self.root
         if src is nil:
             return dup
-        top = RbNode(src.key, dnil, dnil, dnil, src.red)
+        top = RbNode(src.key, nil, nil, src.red)
         dup.root = top
         stack = [(src, top)]
         while stack:
             old, new = stack.pop()
             ol = old.left
             if ol is not nil:
-                c = RbNode(ol.key, dnil, dnil, new, ol.red)
+                c = RbNode(ol.key, nil, nil, ol.red)
                 new.left = c
                 stack.append((ol, c))
             orr = old.right
             if orr is not nil:
-                c = RbNode(orr.key, dnil, dnil, new, orr.red)
+                c = RbNode(orr.key, nil, nil, orr.red)
                 new.right = c
                 stack.append((orr, c))
         return dup
 
     def _subtree_weight(self, v: RbNode) -> int:
-        nil = self.nil
+        nil = RB_NIL
         if v is nil:
             return 1
         n = 0
@@ -89,40 +93,50 @@ class RedBlackTree(SearchTree):
                 stack.append(x.right)
         return n + 1
 
-    def _rotate_left(self, v: RbNode):
+    def _rotate_left(self, v: RbNode, p: RbNode):
+        """Rotate left at v, whose parent is p (the sentinel at the root)."""
         sink = self.sink
         if sink is not None:
             sink.record_rotation(self._subtree_weight(v))
-        linked_left(self, v)
+        link_left(self, v, p)
 
-    def _rotate_right(self, v: RbNode):
+    def _rotate_right(self, v: RbNode, p: RbNode):
         sink = self.sink
         if sink is not None:
             sink.record_rotation(self._subtree_weight(v))
-        linked_right(self, v)
+        link_right(self, v, p)
 
     def insert(self, key) -> RbNode:
-        nil = self.nil
-        p = nil
+        nil = RB_NIL
+        path = [nil]
         v = self.root
         while v is not nil:
-            p = v
+            path.append(v)
             v = v.left if key <= v.key else v.right
-        node = RbNode(key, nil, nil, p, red=True)
+        node = RbNode(key, nil, nil, True)
+        p = path[-1]
         if p is nil:
+            node.red = False
             self.root = node
         elif key <= p.key:
             p.left = node
         else:
             p.right = node
         self.size += 1
-        self._insert_fixup(node)
+        # Under a black parent (or at the root) the new node breaks
+        # nothing, so the fixup runs only under a red one.
+        if p.red:
+            self._insert_fixup(node, path)
         return node
 
-    def _insert_fixup(self, z: RbNode):
-        while z.parent.red:
-            p = z.parent
-            g = p.parent
+    def _insert_fixup(self, z: RbNode, path: list):
+        """Restore the colours above the red node z; path lists z's
+        ancestors root first, headed by the sentinel, which is black."""
+        i = len(path) - 1
+        p = path[i]
+        while p.red:
+            # p is red, so not the root: its parent g is a real node.
+            g = path[i - 1]
             if p is g.left:
                 u = g.right
                 if u.red:
@@ -130,14 +144,15 @@ class RedBlackTree(SearchTree):
                     u.red = False
                     g.red = True
                     z = g
-                else:
-                    if z is p.right:
-                        z = p
-                        self._rotate_left(z)
-                        p = z.parent
-                    p.red = False
-                    g.red = True
-                    self._rotate_right(g)
+                    i -= 2
+                    p = path[i]
+                    continue
+                if z is p.right:
+                    self._rotate_left(p, g)
+                    p = z
+                p.red = False
+                g.red = True
+                self._rotate_right(g, path[i - 2])
             else:
                 u = g.left
                 if u.red:
@@ -145,110 +160,132 @@ class RedBlackTree(SearchTree):
                     u.red = False
                     g.red = True
                     z = g
-                else:
-                    if z is p.left:
-                        z = p
-                        self._rotate_right(z)
-                        p = z.parent
-                    p.red = False
-                    g.red = True
-                    self._rotate_left(g)
+                    i -= 2
+                    p = path[i]
+                    continue
+                if z is p.left:
+                    self._rotate_right(p, g)
+                    p = z
+                p.red = False
+                g.red = True
+                self._rotate_left(g, path[i - 2])
+            break
         self.root.red = False
 
-    def _transplant(self, u: RbNode, v: RbNode):
-        if u.parent is self.nil:
-            self.root = v
-        elif u is u.parent.left:
-            u.parent.left = v
-        else:
-            u.parent.right = v
-        v.parent = u.parent
-
     def delete(self, key) -> bool:
-        z = self.search(key)
-        if z is None:
-            return False
-        nil = self.nil
-        y = z
-        y_was_red = y.red
-        if z.left is nil or z.right is nil:
-            x = z.right if z.left is nil else z.left
-            linked_splice_out(self, z)
+        nil = RB_NIL
+        path = [nil]
+        z = self.root
+        while z is not nil:
+            k = z.key
+            if key == k:
+                break
+            path.append(z)
+            z = z.left if key < k else z.right
         else:
-            # Successor relink; node identity moves, keys stay put.
+            return False
+        p = path[-1]
+        if z.left is nil or z.right is nil:
+            was_red = z.red
+            x = splice_out(self, z, p)
+        else:
+            # Successor relink: y, the leftmost node of z's right subtree,
+            # takes z's slot, links and colour, and its right child x takes
+            # y's old slot. Node identity moves, keys stay put.
+            i = len(path)
+            path.append(z)
             y = z.right
             while y.left is not nil:
+                path.append(y)
                 y = y.left
-            y_was_red = y.red
+            was_red = y.red
             x = y.right
-            if y.parent is z:
-                x.parent = y
-            else:
-                self._transplant(y, x)
+            yp = path[-1]
+            if yp is not z:
+                yp.left = x
                 y.right = z.right
-                y.right.parent = y
-            self._transplant(z, y)
             y.left = z.left
-            y.left.parent = y
+            if p is nil:
+                self.root = y
+            elif p.left is z:
+                p.left = y
+            else:
+                p.right = y
             y.red = z.red
+            path[i] = y
         self.size -= 1
-        if not y_was_red:
-            self._delete_fixup(x)
-        # Both relinks aim nil.parent at the splice point on purpose (the
-        # fixup starts there); undo it once the fixup is done.
-        nil.parent = nil
+        # Removing a red node breaks nothing, and a red x takes the lost
+        # black itself.
+        if not was_red:
+            if x.red:
+                x.red = False
+            else:
+                self._delete_fixup(x, path)
         return True
 
-    def _delete_fixup(self, x: RbNode):
-        while x is not self.root and not x.red:
-            p = x.parent
+    def _delete_fixup(self, x: RbNode, path: list):
+        """Restore the black height above the black node x, whose subtree
+        lost one black; path lists x's ancestors root first, headed by the
+        sentinel."""
+        nil = RB_NIL
+        i = len(path) - 1
+        while not x.red:
+            p = path[i]
+            if p is nil:
+                break
+            g = path[i - 1]
             if x is p.left:
                 w = p.right
                 if w.red:
                     w.red = False
                     p.red = True
-                    self._rotate_left(p)
+                    self._rotate_left(p, g)
+                    # w is p's parent now; p is red, so the loop ends at
+                    # p and only the rotation below reads g.
+                    g = w
                     w = p.right
                 if not w.left.red and not w.right.red:
                     w.red = True
                     x = p
-                else:
-                    if not w.right.red:
-                        w.left.red = False
-                        w.red = True
-                        self._rotate_right(w)
-                        w = p.right
-                    w.red = p.red
-                    p.red = False
-                    w.right.red = False
-                    self._rotate_left(p)
-                    x = self.root
+                    i -= 1
+                    continue
+                if not w.right.red:
+                    w.left.red = False
+                    w.red = True
+                    self._rotate_right(w, p)
+                    w = p.right
+                w.red = p.red
+                p.red = False
+                w.right.red = False
+                self._rotate_left(p, g)
             else:
                 w = p.left
                 if w.red:
                     w.red = False
                     p.red = True
-                    self._rotate_right(p)
+                    self._rotate_right(p, g)
+                    g = w
                     w = p.left
                 if not w.right.red and not w.left.red:
                     w.red = True
                     x = p
-                else:
-                    if not w.left.red:
-                        w.right.red = False
-                        w.red = True
-                        self._rotate_left(w)
-                        w = p.left
-                    w.red = p.red
-                    p.red = False
-                    w.left.red = False
-                    self._rotate_right(p)
-                    x = self.root
+                    i -= 1
+                    continue
+                if not w.left.red:
+                    w.right.red = False
+                    w.red = True
+                    self._rotate_left(w, p)
+                    w = p.left
+                w.red = p.red
+                p.red = False
+                w.left.red = False
+                self._rotate_right(p, g)
+            break
         x.red = False
 
 
 def audit(tree: RedBlackTree) -> list[str]:
-    """Exhaustive check of the red-black properties plus ordering and links.
+    """Exhaustive check of the red-black properties plus ordering and size.
 
     Returns human-readable violation strings; empty means clean.
     """
@@ -263,8 +300,6 @@ def audit(tree: RedBlackTree) -> list[str]:
         return out
     if root.red:
         out.append("root is red")
-    if root.parent is not nil:
-        out.append("root parent not sentinel")
 
     # Iterative post-order: black-height and subtree bounds per node.
     info: dict[int, tuple[int, object, object, int]] = {}
@@ -294,8 +329,6 @@ def audit(tree: RedBlackTree) -> list[str]:
             n += ln
             lo = min(lo, llo)
             hi = max(hi, lhi)
-            if l.parent is not v:
-                out.append(f"bad parent link at {l.key!r}")
             if lhi > v.key:
                 out.append(f"left subtree of {v.key!r} holds {lhi!r}")
         if r is not nil:
@@ -303,8 +336,6 @@ def audit(tree: RedBlackTree) -> list[str]:
             n += rn
             lo = min(lo, rlo)
             hi = max(hi, rhi)
-            if r.parent is not v:
-                out.append(f"bad parent link at {r.key!r}")
             # Weak form (equal keys allowed on the right): insertion sends
             # duplicates left, but rotations can carry one rightward. The
             # real invariant is a non-decreasing in-order sequence.

@@ -12,7 +12,6 @@ from wbtree.core import (
     rotate_right,
     splice_out,
     structure_string,
-    subtree_maximum,
 )
 from wbtree.metrics import MetricsSink
 from wbtree.oracle import audit_structure
@@ -41,6 +40,13 @@ def tree_of(shape, params=PARAM_SETS["integral"]):
     t.root = build(shape)
     t.size = 0 if t.root is NIL else t.root.weight - 1
     return t
+
+
+def subtree_maximum(v: Node) -> Node:
+    """Rightmost node below v; v must not be NIL."""
+    while v.right is not NIL:
+        v = v.right
+    return v
 
 
 def dump(t) -> str:
@@ -117,10 +123,10 @@ def test_clone_is_deep_and_unlinked():
     assert c.root.key == 10
 
 
-def test_clone_copies_the_node_class_with_its_parent_links():
-    # A tree clones into its own node class: Node, which has no parent
-    # link, for both weight-balanced schemes; RbNode, parents included, for
-    # the red-black tree.
+def test_clone_copies_the_node_class_and_colours():
+    # A tree clones into its own node class: Node for both weight-balanced
+    # schemes, RbNode, colours included, for the red-black tree. Neither
+    # has a parent link.
     shape = (10, (5, None, None), (20, (15, None, None), None))
     for cls in (Tree, TopDownTree, BottomUpTree):
         t = cls(PARAM_SETS["integral"])
@@ -129,6 +135,7 @@ def test_clone_copies_the_node_class_with_its_parent_links():
         c = t.clone()
         assert dump(c) == dump(t)
         assert {type(c.root), type(c.root.right.left)} == {Node}
+        assert not hasattr(c.root, "parent")
         assert audit_structure(c) == []
     t = RedBlackTree()
     for k in (10, 5, 20, 15):
@@ -136,9 +143,11 @@ def test_clone_copies_the_node_class_with_its_parent_links():
     c = t.clone()
     assert structure_string(c) == structure_string(t)
     assert {type(c.root), type(c.root.right.left)} == {RbNode}
-    assert c.root.parent is c.nil
-    assert c.root.right.left.parent is c.root.right
-    assert rb_audit(c) == []  # checks the parent links
+    assert c.nil is t.nil
+    assert [c.root.red, c.root.left.red, c.root.right.red,
+            c.root.right.left.red] == [False, False, False, True]
+    assert not hasattr(c.root, "parent")
+    assert rb_audit(c) == []
 
 
 def test_single_rotation_weights_and_links():

@@ -29,14 +29,6 @@ def test_sink_single_accumulates():
     assert s.rotated_weight_total == 7
 
 
-def test_sink_reset_clears_everything():
-    s = MetricsSink()
-    s.record_rotation(4)
-    s.touch_count = 9
-    s.reset()
-    assert (s.rotation_count, s.rotated_weight_total, s.touch_count) == (0, 0, 0)
-
-
 def test_count_violations_on_broken_shape():
     # A left chain of five nodes: the top two both violate delta = 3.
     chain = (5, (4, (3, (2, (1, None, None), None), None), None), None)

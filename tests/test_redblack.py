@@ -1,7 +1,10 @@
+import random
+import sys
+
 from hypothesis import given, strategies as st
 
 from wbtree.core import structure_string
-from wbtree.metrics import MetricsSink
+from wbtree.metrics import MetricsSink, max_depth
 from wbtree.oracle import SortedMultisetOracle
 from wbtree.redblack import BLACK, RED, RedBlackTree, audit
 
@@ -28,30 +31,11 @@ def test_small_inserts_keep_properties():
     assert t.inorder_keys() == [10, 20, 30]
 
 
-def test_audit_catches_parent_tamper():
-    # Red-black nodes are the only ones left with parent links.
-    t = grown([2, 1, 3])
-    assert audit(t) == []
-    t.root.left.parent = t.root.right
-    assert "bad parent link at 1" in audit(t)
-    t = grown([2, 1, 3])
-    t.root.parent = t.root.left
-    assert "root parent not sentinel" in audit(t)
-
-
 def test_sorted_inserts_stay_logarithmic():
     t = grown(range(512))
     assert audit(t) == []
-
-    def depth(v):
-        d = 0
-        while v is not t.nil:
-            v = v.parent
-            d += 1
-        return d
-
-    deepest = max(depth(t.search(k)) for k in range(512))
-    assert deepest <= 2 * 10  # 2 * log2(n + 1) bound
+    # Node count on the deepest root-to-node path, within 2 * log2(n + 1).
+    assert max_depth(t) + 1 <= 2 * 10
 
 
 def test_duplicates_are_kept():
@@ -142,3 +126,58 @@ def test_matches_sorted_oracle(inserts, deletes):
     assert t.inorder_keys() == o.keys()
     assert len(t) == len(o)
     assert audit(t) == []
+
+
+def fixup_lines_run(ops):
+    """Run ops on the tree with a line tracer on both fixups; returns the
+    lines of each fixup that never ran."""
+    fixups = {RedBlackTree._insert_fixup.__code__: set(),
+              RedBlackTree._delete_fixup.__code__: set()}
+
+    def local(frame, event, arg):
+        if event == "line":
+            fixups[frame.f_code].add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in fixups else None
+
+    sys.settrace(tracer)
+    try:
+        ops()
+    finally:
+        sys.settrace(None)
+    missed = {}
+    for code, ran in fixups.items():
+        body = {ln for _, _, ln in code.co_lines()
+                if ln is not None and ln != code.co_firstlineno}
+        missed[code.co_name] = sorted(body - ran)
+    return missed
+
+
+def test_differential_against_the_oracle_runs_every_fixup_case():
+    # Seeded mixed ops over a small universe, then a drain: duplicates,
+    # absent deletes and enough churn that every line of both fixups runs,
+    # so both insert rotations and all four delete cases are taken on each
+    # side. The audit runs after every op.
+    rng = random.Random(14)
+    t = RedBlackTree()
+    o = SortedMultisetOracle()
+
+    def ops():
+        for _ in range(3000):
+            k = rng.randrange(40)
+            if rng.random() < 0.5:
+                t.insert(k)
+                o.insert(k)
+            else:
+                assert t.delete(k) == o.remove(k)
+            assert audit(t) == []
+            assert len(t) == len(o)
+        assert t.inorder_keys() == o.keys()
+        # Drain it: the last deletes climb to the root and empty the tree.
+        for k in o.keys():
+            assert t.delete(k) and audit(t) == []
+        assert len(t) == 0 and t.root is t.nil
+
+    assert fixup_lines_run(ops) == {"_insert_fixup": [], "_delete_fixup": []}

@@ -11,7 +11,7 @@ from wbtree.core import NIL, Node, structure_string
 from wbtree.metrics import MetricsSink, count_violations, max_depth
 from wbtree.oracle import SortedMultisetOracle, audit_balance, audit_structure
 from wbtree.params import PARAM_SETS, params_from_name
-from wbtree.redblack import RedBlackTree
+from wbtree.redblack import RbNode, RedBlackTree
 from wbtree.redblack import audit as rb_audit
 from wbtree.top_down import TopDownTree
 
@@ -491,14 +491,15 @@ def test_raising_key_leaves_exact_weights(name):
 
 
 def test_top_down_trees_are_freed_without_the_collector():
-    # Neither weight-balanced scheme keeps parent links, so dropping a tree
-    # frees it by reference counting alone.
+    # No tree keeps parent links, so dropping one frees it by reference
+    # counting alone: the collector finds nothing left of it.
     was = gc.isenabled()
     gc.disable()
     try:
         gc.collect()
         for make in (lambda: TopDownTree(PARAM_SETS["topdown"]),
-                     lambda: BottomUpTree(PARAM_SETS["integral"])):
+                     lambda: BottomUpTree(PARAM_SETS["integral"]),
+                     RedBlackTree):
             t = make()
             for k in range(3000):
                 t.insert(k)
@@ -508,13 +509,6 @@ def test_top_down_trees_are_freed_without_the_collector():
             c = t.clone()
             del t, c
             assert gc.collect() == 0
-        # A red-black tree is still cyclic through its parent links, which
-        # is why the harness keeps its cells GC-quiet.
-        b = RedBlackTree()
-        for k in range(100):
-            b.insert(k)
-        del b
-        assert gc.collect() > 0
     finally:
         if was:
             gc.enable()
@@ -535,22 +529,23 @@ def built_bytes_per_key(make, keys) -> float:
 
 def test_top_down_nodes_carry_no_parent_and_take_64_bytes():
     # Both weight-balanced schemes build the same parent-free Node; the
-    # red-black baseline's nodes carry a parent and a colour.
+    # red-black baseline's RbNode swaps the weight for a colour bit. Each
+    # is four slots, 64 B per key under tracemalloc.
     rng = random.Random(12)
     keys = [rng.randrange(1 << 60) for _ in range(10 ** 4)]
-    for make in (lambda: TopDownTree(PARAM_SETS["topdown"]),
-                 lambda: BottomUpTree(PARAM_SETS["integral"])):
+    makers = {"top_down": lambda: TopDownTree(PARAM_SETS["topdown"]),
+              "bottom_up": lambda: BottomUpTree(PARAM_SETS["integral"]),
+              "redblack": RedBlackTree}
+    for name, make in makers.items():
         t = make()
         for k in keys[:500]:
             t.insert(k)
+        node = RbNode if name == "redblack" else Node
         stack = [t.root]
         while stack:
             v = stack.pop()
-            assert type(v) is Node and not hasattr(v, "parent")
-            stack += [c for c in (v.left, v.right) if c is not NIL]
-    top_down = built_bytes_per_key(
-        lambda: TopDownTree(PARAM_SETS["topdown"]), keys)
-    bottom_up = built_bytes_per_key(
-        lambda: BottomUpTree(PARAM_SETS["integral"]), keys)
-    red_black = built_bytes_per_key(RedBlackTree, keys)
-    assert max(top_down, bottom_up) < 65 < 72 <= red_black
+            assert type(v) is node and not hasattr(v, "parent")
+            stack += [c for c in (v.left, v.right) if c is not t.nil]
+    sizes = {name: built_bytes_per_key(make, keys)
+             for name, make in makers.items()}
+    assert max(sizes.values()) < 65, sizes
