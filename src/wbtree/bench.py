@@ -58,10 +58,10 @@ from .metrics import (
     count_violations,
     summarize_ns,
 )
-from .oracle import audit_balance, audit_structure
+from .oracle import (audit_balance, audit_redblack as rb_audit,
+                     audit_structure)
 from .params import SOUND_PARAMS, BalanceParams, param_set_name, params_from_name
 from .redblack import RedBlackTree
-from .redblack import audit as rb_audit
 from .top_down import TopDownTree
 
 EXPERIMENTS = ("insert-pct", "erase-pct", "depth-churn", "violations",

@@ -11,20 +11,20 @@ bottom-up tree's upward pass walks the descent path it recorded. The
 red-black baseline's RbNode has no parent link either, so no tree is
 cyclic and every tree is freed by reference counting.
 
-Empty children are the shared NIL sentinel, which carries weight 1 so weight
-reads never branch. Trees are multisets: insertion sends equal keys left,
-but a rotation can later carry an equal key into a right subtree, so the
-maintained invariant is the weaker one — the in-order key sequence is
-non-decreasing (search still works: every run of equal keys is reachable
-by the usual three-way descent). Single-writer only; nothing here is safe
-for concurrent mutation.
+Empty children in every tree are the one NIL sentinel, which carries
+weight 1 and the colour black, so neither weight nor colour reads branch.
+Trees are multisets: insertion sends equal keys left, but a rotation can
+later carry an equal key into a right subtree, so the maintained invariant
+is the weaker one — the in-order key sequence is non-decreasing (search
+still works: every run of equal keys is reachable by the usual three-way
+descent). Single-writer only; nothing here is safe for concurrent
+mutation.
 
 SearchTree (len, search, in-order keys) and the link edits link_left,
-link_right and splice_out read the tree class's sentinel, tree.nil, so the
-red-black baseline, whose sentinel is its own black RbNode, runs the same
-code. Every link edit exists once and takes the parent of the node it
-moves as an argument. Weights, rotation booking and the predecessor relink
-are for the weight-balanced trees only.
+link_right and splice_out serve all three trees. Every link edit exists
+once and takes the parent of the node it moves as an argument. Weights,
+rotation booking and the predecessor relink are for the weight-balanced
+trees only.
 """
 
 from __future__ import annotations
@@ -50,26 +50,34 @@ class Node:
         return f"Node(key={self.key!r}, weight={self.weight})"
 
 
-# Shared empty-subtree sentinel. Its children self-loop so a traversal bug
-# spins instead of raising on None, which is easier to catch in tests.
-NIL = Node(None, weight=1)
-NIL.left = NIL
-NIL.right = NIL
+class _Nil:
+    """The class of NIL alone: the fields either node layout reads."""
+
+    __slots__ = ("key", "left", "right", "weight", "red")
+
+    def __repr__(self):
+        return "NIL"
+
+
+# The empty-subtree sentinel of every tree. Its children self-loop so a
+# traversal bug spins instead of raising on None, which is easier to catch
+# in tests.
+NIL = _Nil()
+NIL.key = None
+NIL.left = NIL.right = NIL
+NIL.weight = 1
+NIL.red = False
 
 
 class SearchTree:
-    """Read-only operations shared by all three trees.
-
-    Empty children are the tree class's sentinel, self.nil: the shared NIL
-    for the weight-balanced trees, redblack.RB_NIL for the red-black tree.
-    """
+    """Read-only operations shared by all three trees."""
 
     def __len__(self):
         return self.size
 
     def search(self, key):
         """First node with this key on the root-to-leaf path, else None."""
-        nil = self.nil
+        nil = NIL
         v = self.root
         while v is not nil:
             k = v.key
@@ -79,7 +87,7 @@ class SearchTree:
         return None
 
     def inorder_keys(self) -> list:
-        nil = self.nil
+        nil = NIL
         out = []
         push = out.append
         stack = []
@@ -99,8 +107,6 @@ class Tree(SearchTree):
 
     Subclasses implement insert/delete.
     """
-
-    nil = NIL
 
     def __init__(self, params: BalanceParams, sink=None):
         self.root = NIL
@@ -148,9 +154,8 @@ def splice_out(tree, v, p):
     """Unlink v, which has at most one real child, lifting that child (the
     sentinel if v has none) into v's slot under p. Returns the lifted
     child."""
-    nil = tree.nil
-    c = v.left if v.left is not nil else v.right
-    if p is nil:
+    c = v.left if v.left is not NIL else v.right
+    if p is NIL:
         tree.root = c
     elif p.left is v:
         p.left = c
@@ -186,11 +191,11 @@ def relink_predecessor(tree: Tree, v: Node, g: Node, u: Node,
 def link_left(tree, v, p):
     """Raise v.right into v's position under p and return it.
 
-    Edits links only, for any tree with a root and a nil sentinel.
+    Edits links only, for any of the three trees.
     """
     r = v.right
     v.right = r.left
-    if p is tree.nil:
+    if p is NIL:
         tree.root = r
     elif p.left is v:
         p.left = r
@@ -204,7 +209,7 @@ def link_right(tree, v, p):
     """Mirror of link_left: raise v.left into v's position under p."""
     r = v.left
     v.left = r.right
-    if p is tree.nil:
+    if p is NIL:
         tree.root = r
     elif p.left is v:
         p.left = r
@@ -243,11 +248,9 @@ def rotate_right(tree: Tree, v: Node, p: Node) -> Node:
 def structure_string(tree) -> str:
     """Parenthesized shape: (key L R) with . for an empty subtree.
 
-    Works for any tree exposing root and a nil sentinel, the red-black
-    baseline included. Iterative, so tree height is not limited by the
-    interpreter's recursion limit.
+    Works for all three trees. Iterative, so tree height is not limited by
+    the interpreter's recursion limit.
     """
-    nil = tree.nil
     out = []
     emit = out.append
     stack = [tree.root]
@@ -257,21 +260,21 @@ def structure_string(tree) -> str:
         v = pop()
         if type(v) is str:
             emit(v)
-        elif v is nil:
+        elif v is NIL:
             emit(".")
         else:
             # Queue what follows the left subtree (" R)") before the left
             # subtree itself, which pops first. Pushing single items, not
             # tuples, keeps the cyclic collector out of this loop.
             r = v.right
-            if r is nil:
+            if r is NIL:
                 push(" .)")
             else:
                 push(")")
                 push(r)
                 push(" ")
             l = v.left
-            if l is nil:
+            if l is NIL:
                 emit(f"({v.key} .")
             else:
                 emit(f"({v.key} ")

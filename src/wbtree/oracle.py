@@ -1,15 +1,17 @@
 """Independent referee for the tree implementations.
 
 Everything here is deliberately written against the node interface only
-(key/left/right/weight and the tree's nil sentinel) and shares no
+(key, left, right, weight or red, and core's NIL sentinel) and shares no
 traversal or predicate code with the implementations it judges:
 
 * SortedMultisetOracle — a bisect-maintained sorted list with the same
   multiset semantics the trees promise (insert always succeeds, delete
   removes one instance and reports whether it found one).
-* audit_structure — one iterative post-order walk recounts every subtree
-  from scratch and checks stored weights, key ordering and the cached
-  size (no node carries a parent link to check).
+* _walk — the one audit traversal: an iterative post-order walk that
+  recounts every subtree from scratch, checks key ordering and the cached
+  size (no node carries a parent link to check), and hands each node to
+  the audit's own check along with what that check said of its children.
+* audit_structure — the walk, checking each stored weight.
 * audit_balance — the same single walk, which also applies the balance
   inequalities to the true weights in exact integer arithmetic: with
   delta = n/m exactly, wl*n >= wr*m and wr*n >= wl*m; classic, the only
@@ -18,15 +20,16 @@ traversal or predicate code with the implementations it judges:
   It returns the structure lines followed by the balance lines, since a
   balance verdict on recounted weights means something only on a sound
   structure.
-
-Balance auditing is for the weight-balanced trees; the red-black tree has
-its own property audit next to its implementation.
+* audit_redblack — the walk for the red-black baseline, checking the
+  colour rules: black heights (carried up the walk), no red node under a
+  red one, and a black root and sentinel.
 """
 
 from __future__ import annotations
 
 import bisect
 
+from .core import NIL
 from .params import BalanceParams
 
 
@@ -61,23 +64,23 @@ class SortedMultisetOracle:
         return self._keys
 
 
-def _walk(tree, ok) -> tuple[list[str], list[str]]:
+def _walk(tree, out: list[str], check, empty=None):
     """One left-right-root recount of every subtree, ignoring stored
-    weights; returns (structure problems, balance problems), the latter
-    from ok on the true weights when ok is given.
-
-    Iterative and depth-proof: each finished subtree leaves (true count,
-    least key, greatest key) on a value stack, right child on top.
+    weights; order and size problems go to out. Once both subtrees of v
+    are done, check(v, lw, rw, lx, rx) gets their true weights and the
+    values it returned for them (empty for an empty one), and what it
+    returns is carried up as v's value. Iterative and depth-proof: each
+    finished subtree leaves (true count, least key, greatest key, value)
+    on a value stack, right child on top.
     """
-    out: list[str] = []
-    unbalanced: list[str] = []
-    nil = tree.nil
+    nil = NIL
     root = tree.root
     if root is nil:
         if tree.size != 0:
             out.append(f"empty tree reports size {tree.size}")
-        return out, unbalanced
+        return
     done: list[tuple] = []
+    finish, take = done.append, done.pop
     # A node is pushed to be expanded; once expanded it sits under a None
     # marker, and popping the marker finishes it.
     todo = [root]
@@ -88,7 +91,11 @@ def _walk(tree, ok) -> tuple[list[str], list[str]]:
         if expanded:
             v = pop()
         l, r = v.left, v.right
-        if not expanded and (l is not nil or r is not nil):
+        if l is nil and r is nil:  # a leaf finishes at once
+            n = 1
+            finish((1, v.key, v.key, check(v, 1, 1, empty, empty)))
+            continue
+        if not expanded:
             push(v)
             push(None)
             if r is not nil:
@@ -97,12 +104,13 @@ def _walk(tree, ok) -> tuple[list[str], list[str]]:
                 push(l)
             continue
         ln = rn = 0
+        lx = rx = empty
         lo = hi = key = v.key
         if r is not nil:
-            rn, rlo, rhi = done.pop()
+            rn, rlo, rhi, rx = take()
         # `if b < a: a = b` is min(a, b) exactly, without the call; max alike.
         if l is not nil:
-            ln, llo, lhi = done.pop()
+            ln, llo, lhi, lx = take()
             if llo < lo:
                 lo = llo
             if lhi > key:  # hi is still key
@@ -118,21 +126,33 @@ def _walk(tree, ok) -> tuple[list[str], list[str]]:
                 # a rotation; only a strictly smaller key is a defect.
                 out.append(f"order: {rlo!r} sits right of {key!r}")
         n = ln + rn + 1
-        if v.weight != n + 1:
-            out.append(f"weight at {key!r}: stored {v.weight}, true {n + 1}")
-        if ok is not None and not ok(ln + 1, rn + 1):
-            unbalanced.append(
-                f"balance at {key!r}: true weights ({ln + 1}, {rn + 1})")
-        done.append((n, lo, hi))
+        finish((n, lo, hi, check(v, ln + 1, rn + 1, lx, rx)))
     # The root finishes last, so n is its count.
     if n != tree.size:
         out.append(f"size {tree.size} but tree holds {n}")
-    return out, unbalanced
+
+
+def _audit_weights(tree, ok) -> list[str]:
+    """The walk checking stored weights, and balance by ok on the true
+    weights when ok is given: structure lines, then balance lines."""
+    out: list[str] = []
+    unbalanced: list[str] = []
+
+    def check(v, lw, rw, lx, rx):
+        if v.weight != lw + rw:
+            out.append(f"weight at {v.key!r}: stored {v.weight}, "
+                       f"true {lw + rw}")
+        if ok is not None and not ok(lw, rw):
+            unbalanced.append(f"balance at {v.key!r}: true weights "
+                              f"({lw}, {rw})")
+
+    _walk(tree, out, check)
+    return out + unbalanced
 
 
 def audit_structure(tree) -> list[str]:
     """Recount-from-scratch structural audit; empty list means clean."""
-    return _walk(tree, None)[0]
+    return _audit_weights(tree, None)
 
 
 def exact_balance_predicate(params: BalanceParams):
@@ -162,5 +182,23 @@ def audit_balance(tree) -> list[str]:
     """Structure lines, then balance lines on true weights, from one walk;
     empty list means clean. A balance verdict on recounted weights means
     something only on a sound structure."""
-    out, unbalanced = _walk(tree, exact_balance_predicate(tree.params))
-    return out + unbalanced
+    return _audit_weights(tree, exact_balance_predicate(tree.params))
+
+
+def audit_redblack(tree) -> list[str]:
+    """The walk checking the red-black properties: a black root and
+    sentinel, no red node with a red child, and equal black heights (the
+    sentinel counting one) under every node. Empty list means clean."""
+    out = ["sentinel is red"] if NIL.red else []
+    if tree.root is not NIL and tree.root.red:
+        out.append("root is red")
+
+    def check(v, lw, rw, lbh, rbh):
+        if lbh != rbh:
+            out.append(f"black-height split at {v.key!r}: {lbh} vs {rbh}")
+        if v.red and (v.left.red or v.right.red):
+            out.append(f"red node {v.key!r} has a red child")
+        return (lbh if lbh > rbh else rbh) + (not v.red)
+
+    _walk(tree, out, check, 1)
+    return out

@@ -2,14 +2,15 @@
 
 Same multiset contract as the weight-balanced trees: equal keys descend
 left, search returns the first match on the path, delete removes one node.
-Search, the in-order walk, the rotation link edits and the one-child
-splice are core's. Nodes carry key, two children and a colour bit, and no
-parent link: insert and delete record the nodes they pass in a per-op list
-headed by the sentinel, as the bottom-up weight-balanced tree does, and
-the fixups (Cormen et al., ch. 13) walk that list back by index, handing
-each rotation the pivot's parent. No node has a weight field, so when a
-metrics sink asks for rotation weights the pivot's subtree is counted on
-demand.
+Search, the in-order walk, the rotation link edits, the one-child splice
+and the NIL sentinel are core's; the property audit is the referee's,
+oracle.audit_redblack, imported here as audit. Nodes carry key, two
+children and a colour bit, and no parent link: insert and delete record
+the nodes they pass in a per-op list headed by the sentinel, as the
+bottom-up weight-balanced tree does, and the fixups (Cormen et al., ch.
+13) walk that list back by index, handing each rotation the pivot's
+parent. No node has a weight field, so when a metrics sink asks for
+rotation weights the pivot's subtree is counted on demand.
 
 Invariants: the root is black, a red node has no red child, and every
 root-to-leaf path crosses the same number of black nodes.
@@ -17,7 +18,8 @@ root-to-leaf path crosses the same number of black nodes.
 
 from __future__ import annotations
 
-from .core import SearchTree, link_left, link_right, splice_out
+from .core import NIL, SearchTree, link_left, link_right, splice_out
+from .oracle import audit_redblack as audit  # noqa: F401
 
 RED = True
 BLACK = False
@@ -37,26 +39,18 @@ class RbNode:
         return f"RbNode({self.key!r}, {color})"
 
 
-# Shared empty-subtree sentinel of every red-black tree: black, with
-# self-looping children like core.NIL.
-RB_NIL = RbNode(None, red=False)
-RB_NIL.left = RB_NIL
-RB_NIL.right = RB_NIL
-
 
 class RedBlackTree(SearchTree):
 
-    nil = RB_NIL
-
     def __init__(self, sink=None):
-        self.root = RB_NIL
+        self.root = NIL
         self.size = 0
         self.sink = sink
 
     def clone(self) -> "RedBlackTree":
         """Structure- and color-preserving copy with fresh nodes."""
         dup = RedBlackTree(sink=None)
-        nil = RB_NIL
+        nil = NIL
         dup.size = self.size
         src = self.root
         if src is nil:
@@ -79,9 +73,7 @@ class RedBlackTree(SearchTree):
         return dup
 
     def _subtree_weight(self, v: RbNode) -> int:
-        nil = RB_NIL
-        if v is nil:
-            return 1
+        nil = NIL
         n = 0
         stack = [v]
         while stack:
@@ -107,7 +99,7 @@ class RedBlackTree(SearchTree):
         link_right(self, v, p)
 
     def insert(self, key) -> RbNode:
-        nil = RB_NIL
+        nil = NIL
         path = [nil]
         v = self.root
         while v is not nil:
@@ -173,7 +165,7 @@ class RedBlackTree(SearchTree):
         self.root.red = False
 
     def delete(self, key) -> bool:
-        nil = RB_NIL
+        nil = NIL
         path = [nil]
         z = self.root
         while z is not nil:
@@ -227,7 +219,7 @@ class RedBlackTree(SearchTree):
         """Restore the black height above the black node x, whose subtree
         lost one black; path lists x's ancestors root first, headed by the
         sentinel."""
-        nil = RB_NIL
+        nil = NIL
         i = len(path) - 1
         while not x.red:
             p = path[i]
@@ -282,67 +274,3 @@ class RedBlackTree(SearchTree):
                 self._rotate_right(p, g)
             break
         x.red = False
-
-
-def audit(tree: RedBlackTree) -> list[str]:
-    """Exhaustive check of the red-black properties plus ordering and size.
-
-    Returns human-readable violation strings; empty means clean.
-    """
-    out: list[str] = []
-    nil = tree.nil
-    root = tree.root
-    if nil.red:
-        out.append("sentinel is red")
-    if root is nil:
-        if tree.size != 0:
-            out.append(f"empty tree but size={tree.size}")
-        return out
-    if root.red:
-        out.append("root is red")
-
-    # Iterative post-order: black-height and subtree bounds per node.
-    info: dict[int, tuple[int, object, object, int]] = {}
-    stack = [(root, False)]
-    count = 0
-    while stack:
-        v, expanded = stack.pop()
-        if not expanded:
-            stack.append((v, True))
-            if v.left is not nil:
-                stack.append((v.left, False))
-            if v.right is not nil:
-                stack.append((v.right, False))
-            continue
-        count += 1
-        l, r = v.left, v.right
-        lbh = info[id(l)][0] if l is not nil else 1
-        rbh = info[id(r)][0] if r is not nil else 1
-        if lbh != rbh:
-            out.append(f"black-height split at {v.key!r}: {lbh} vs {rbh}")
-        if v.red and (l.red or r.red):
-            out.append(f"red node {v.key!r} has a red child")
-        lo = hi = v.key
-        n = 1
-        if l is not nil:
-            _, llo, lhi, ln = info[id(l)]
-            n += ln
-            lo = min(lo, llo)
-            hi = max(hi, lhi)
-            if lhi > v.key:
-                out.append(f"left subtree of {v.key!r} holds {lhi!r}")
-        if r is not nil:
-            _, rlo, rhi, rn = info[id(r)]
-            n += rn
-            lo = min(lo, rlo)
-            hi = max(hi, rhi)
-            # Weak form (equal keys allowed on the right): insertion sends
-            # duplicates left, but rotations can carry one rightward. The
-            # real invariant is a non-decreasing in-order sequence.
-            if rlo < v.key:
-                out.append(f"right subtree of {v.key!r} holds {rlo!r}")
-        bh = max(lbh, rbh) + (0 if v.red else 1)
-        info[id(v)] = (bh, lo, hi, n)
-    if count != tree.size:
-        out.append(f"size={tree.size} but counted {count}")
-    return out

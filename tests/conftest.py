@@ -4,7 +4,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from wbtree.core import NIL
-from wbtree.redblack import RB_NIL
 
 settings.register_profile(
     "suite",
@@ -24,21 +23,16 @@ def rnd():
 
 @pytest.fixture(autouse=True)
 def nil_sentinel_guard():
-    """Fail the test that corrupts a shared sentinel, and restore it.
+    """Fail the test that corrupts the shared sentinel, and restore it.
 
-    Every weight-balanced tree in the process shares NIL, and every
-    red-black tree shares RB_NIL, so a corrupted sentinel would otherwise
-    poison every tree built after it. Neither has a parent field to check.
+    Every tree in the process shares NIL, so a corrupted sentinel would
+    otherwise poison every tree built after it. It has no parent field to
+    check.
     """
     yield
-    for name, nil, field, value in (("NIL", NIL, "weight", 1),
-                                    ("RB_NIL", RB_NIL, "red", False)):
-        state = (nil.key, getattr(nil, field), nil.left is nil,
-                 nil.right is nil)
-        if state != (None, value, True, True):
-            nil.key = None
-            setattr(nil, field, value)
-            nil.left = nil.right = nil
-            pytest.fail(f"shared {name} sentinel corrupted: (key, {field}, "
-                        f"left is {name}, right is {name}) = {state}",
-                        pytrace=False)
+    state = (NIL.key, NIL.weight, NIL.red, NIL.left is NIL, NIL.right is NIL)
+    if state != (None, 1, False, True, True):
+        NIL.key, NIL.weight, NIL.red = None, 1, False
+        NIL.left = NIL.right = NIL
+        pytest.fail("shared NIL sentinel corrupted: (key, weight, red, "
+                    f"left is NIL, right is NIL) = {state}", pytrace=False)

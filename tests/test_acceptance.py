@@ -16,6 +16,8 @@ the verdicts stay machine-independent.
 import statistics
 import time
 
+import pytest
+
 from wbtree.bench import (
     ExperimentSpec,
     emit_results,
@@ -51,6 +53,9 @@ from test_oracle import apply_op
 
 ALL_PARAM_NAMES = ["classic", "integral", "topdown", "tight", "overtight"]
 WIDE = 2 ** 60
+
+# Deselect with `pytest -m "not acceptance"` for the fast loop.
+pytestmark = pytest.mark.acceptance
 
 
 def _collect_path(tree, key, equal_left):

@@ -3,6 +3,9 @@ targets. Everything drives main() in-process with tiny workloads."""
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -13,6 +16,8 @@ from wbtree.cli import main
 
 from test_top_down import Fuse
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 TINY = ["--sizes", "24", "--base-trees", "1", "--time-floor-ms", "0",
         "--variants", "bottom_up", "--params", "integral"]
 
@@ -125,7 +130,21 @@ def test_bad_seed_env_exit_one(capsys, monkeypatch):
     monkeypatch.setenv("WBTREE_SEED", "three")
     code, _, err = run(["insert-pct"] + TINY, capsys)
     assert code == 1
-    assert "WBTREE_SEED" in err
+    assert err == ("wbtree-bench: error: WBTREE_SEED is not an integer: "
+                   "'three'\n")
+
+
+def test_bad_seed_env_exits_one_without_traceback_from_a_shell():
+    # The same contract as seen from outside the process: exit status 1,
+    # the one error line on stderr and no traceback.
+    env = {**os.environ, "WBTREE_SEED": "1.5", "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-m", "wbtree.cli", "insert-pct"] + TINY,
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "WBTREE_SEED is not an integer: '1.5'" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout == ""
 
 
 def strip_timings(csv_text):

@@ -66,10 +66,14 @@ def dump(t) -> str:
 
 
 def test_nil_sentinel_shape():
-    assert NIL.weight == 1
+    # One sentinel for all three trees: the weight a weight-balanced tree
+    # reads and the colour a red-black one reads, in neither node class.
+    assert NIL.weight == 1 and NIL.red is False
     assert NIL.left is NIL and NIL.right is NIL
-    assert NIL.key is None and type(NIL) is Node
+    assert NIL.key is None and type(NIL) not in (Node, RbNode)
     assert not hasattr(NIL, "parent")
+    for t in (Tree(PARAM_SETS["integral"]), RedBlackTree()):
+        assert t.root is NIL
 
 
 def test_manual_build_weights():
@@ -143,7 +147,7 @@ def test_clone_copies_the_node_class_and_colours():
     c = t.clone()
     assert structure_string(c) == structure_string(t)
     assert {type(c.root), type(c.root.right.left)} == {RbNode}
-    assert c.nil is t.nil
+    assert c.root.left.left is NIL and c.root.right.right is NIL
     assert [c.root.red, c.root.left.red, c.root.right.red,
             c.root.right.left.red] == [False, False, False, True]
     assert not hasattr(c.root, "parent")

@@ -28,7 +28,7 @@ from wbtree.bench import (
     run_replay,
 )
 from wbtree.bottom_up import BottomUpTree
-from wbtree.core import structure_string
+from wbtree.core import NIL, structure_string
 from wbtree.metrics import CSV_COLUMNS, MetricsSink
 from wbtree.params import params_from_name
 from wbtree.redblack import RedBlackTree
@@ -86,7 +86,7 @@ def colours(t) -> str:
     stack = [t.root]
     while stack:
         v = stack.pop()
-        if v is not t.nil:
+        if v is not NIL:
             out.append("R" if v.red else "B")
             stack.append(v.right)
             stack.append(v.left)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from wbtree import keygen
 from wbtree.keygen import (
     STREAM_BASE,
     STREAM_FRESH,
@@ -130,6 +131,17 @@ def test_uniform_rejects_bad_args():
 
 def test_zipf_golden_small():
     assert gen_zipf(6, 100, 5).keys == [3, 27, 1, 0, 0, 3]
+
+
+def test_zipf_table_is_the_running_sum_from_zero():
+    # The packed table holds exactly the sums of adding r**-s one rank at a
+    # time from 0.0, so every rank drawn against it stays the same.
+    for u, s in ((1, 1.0), (1000, 1.0), (1000, 1.25), (5000, 2.0)):
+        want, total = [], 0.0
+        for r in range(1, u + 1):
+            total += r ** (-s)
+            want.append(total)
+        assert keygen._zipf_cumulative(u, s).tolist() == want
 
 
 def test_zipf_table_path_rank_one_frequency():

@@ -132,7 +132,7 @@ def test_level_scans_match_the_depth_definitions(rnd, make):
         t = make()
         for _ in range(n):
             t.insert(rnd.randrange(n // 2 + 1))
-        depths = depths_by_recursion(t.root, t.nil)
+        depths = depths_by_recursion(t.root, NIL)
         assert max_depth(t) == (max(depths) if depths else -1)
         assert average_depth(t) == (sum(depths) / len(depths) if depths
                                     else 0.0)

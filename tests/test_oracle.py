@@ -170,12 +170,12 @@ def faulted_tree(cls, name, size, seed, fault):
         t.insert(rng.randrange(universe))
     # Pre-order, each node with its parent.
     nodes, parent = [], {}
-    stack = [t.root] if t.root is not t.nil else []
+    stack = [t.root] if t.root is not NIL else []
     while stack:
         v = stack.pop()
         nodes.append(v)
         for c in (v.left, v.right):
-            if c is not t.nil:
+            if c is not NIL:
                 parent[c] = v
                 stack.append(c)
     if fault == "size":

@@ -15,7 +15,7 @@ from wbtree.redblack import RbNode, RedBlackTree
 from wbtree.redblack import audit as rb_audit
 from wbtree.top_down import TopDownTree
 
-from test_core import dump
+from test_core import build, dump
 from test_golden import PARAMS
 
 
@@ -545,7 +545,21 @@ def test_top_down_nodes_carry_no_parent_and_take_64_bytes():
         while stack:
             v = stack.pop()
             assert type(v) is node and not hasattr(v, "parent")
-            stack += [c for c in (v.left, v.right) if c is not t.nil]
+            stack += [c for c in (v.left, v.right) if c is not NIL]
     sizes = {name: built_bytes_per_key(make, keys)
              for name, make in makers.items()}
     assert max(sizes.values()) < 65, sizes
+
+
+def test_tight_is_not_sound_top_down():
+    # The witness behind README's "no" for `tight` (<2, 3/2>) under the
+    # top-down scheme: a balanced five-key tree that one insert leaves out
+    # of balance, with every stored weight still true.
+    t = TopDownTree(PARAM_SETS["tight"])
+    t.root = build((2, (0, None, None), (6, (4, None, None), (8, None, None))))
+    t.size = 5
+    assert audit_balance(t) == []
+    t.insert(3)
+    assert structure_string(t) == "(6 (2 (0 . .) (4 (3 . .) .)) (8 . .))"
+    assert audit_structure(t) == []
+    assert audit_balance(t) == ["balance at 6: true weights (5, 2)"]
