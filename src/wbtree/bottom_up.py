@@ -13,9 +13,7 @@ gamma test; each node's parent is the entry before it. Every ancestor is
 re-checked; deletions can push imbalance arbitrarily far up, so there is no
 early exit. Nodes carry no parent link.
 
-Neither pass keeps a counter. With a metrics sink attached, an op books its
-node touches once, from the length of the recorded path: an insert touches
-the path twice, once going down and once coming up, plus the new node.
+Neither pass keeps a counter; an attached metrics sink books rotations only.
 """
 
 from __future__ import annotations
@@ -49,10 +47,6 @@ class BottomUpTree(Tree):
                     break
             v = c
         self.size += 1
-        sink = self.sink
-        if sink is not None:
-            # The descent and the upward pass each touch the path once.
-            sink.touch_count += 2 * len(path) - 1
         self._repair_upward(path)
         return node
 
@@ -67,9 +61,6 @@ class BottomUpTree(Tree):
             path.append(v)
             v = v.left if key < k else v.right
         else:
-            sink = self.sink
-            if sink is not None:
-                sink.touch_count += len(path) - 1
             return False
 
         p = path[-1]
@@ -84,14 +75,9 @@ class BottomUpTree(Tree):
                 u = u.right
             relink_predecessor(self, v, p, u, path[-1])
             path[i] = u
-            touches = 3
         else:
             splice_out(self, v, p)
-            touches = 1
         self.size -= 1
-        sink = self.sink
-        if sink is not None:
-            sink.touch_count += touches + len(path) - 1
         self._repair_upward(path)
         return True
 

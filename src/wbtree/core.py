@@ -164,18 +164,14 @@ def splice_out(tree, v, p):
     return c
 
 
-def relink_predecessor(tree: Tree, v: Node, g: Node, u: Node,
-                       up: Node) -> Node:
+def relink_predecessor(tree: Tree, v: Node, g: Node, u: Node, up: Node):
     """Move u, the rightmost node of v's left subtree, into v's position
     under g; up is u's parent.
 
     u's left child takes u's old slot, and u adopts v's subtrees (keeping
-    its own left one when u is v.left). Edits links only; returns the
-    lowest node that lost a descendant: up, or u itself when u was v.left.
+    its own left one when u is v.left). Edits links only.
     """
-    if up is v:
-        up = u
-    else:
+    if up is not v:
         up.right = u.left
         u.left = v.left
     u.right = v.right

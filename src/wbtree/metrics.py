@@ -1,8 +1,10 @@
 """Counters, derived measurements, and timing summaries.
 
-A tree with sink=None records nothing and pays nothing. Counting balance
-violations is a full O(n) traversal by design; harnesses sample it at
-intervals instead of maintaining it incrementally.
+A tree with sink=None records nothing and pays nothing. A tree with a sink
+books its rotations and nothing else, so an op makes the same key
+comparisons either way. Counting balance violations is a full O(n)
+traversal by design; harnesses sample it at intervals instead of
+maintaining it incrementally.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from .core import NIL, Tree
 
 
 class MetricsSink:
-    """Rotation and node-touch counters shared by all tree variants.
+    """Rotation counters shared by all tree variants.
 
     Every rotation is booked singly with its pivot's pre-rotation weight,
     so a double rotation counts as two, inner pivot first.
@@ -25,6 +27,9 @@ class MetricsSink:
     def __init__(self):
         self.rotation_count = 0
         self.rotated_weight_total = 0
+        # Always 0: no tree books node touches. perfbench's counting pass
+        # is its only reader, and the next benchmark change drops that
+        # pass's touches_per_op and this field with it.
         self.touch_count = 0
 
     def record_rotation(self, pivot_weight: int):

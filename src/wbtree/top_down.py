@@ -46,12 +46,8 @@ they leave the tree structurally sound. If a key comparison raises, in the
 descent or in that second walk, every weight is recounted from the leaves
 up (O(n), only on an exception); the links are sound throughout.
 
-The loops keep no counter. With a metrics sink attached, each repair books
-two node touches (three for a node built in place), and an op books the rest
-at its exit from a second walk down the key's path that only the sink pays
-for: an insert touches the root and every ancestor of the new node; a delete
-touches the root and every node on the chain of the lowest node that lost a
-descendant (on a miss, the whole path).
+The loops keep no counter. An attached metrics sink books rotations only,
+where they happen, so an op compares the same keys with a sink as without.
 """
 
 from __future__ import annotations
@@ -69,9 +65,6 @@ class TopDownTree(Tree):
             node = Node(key, nil, nil, 2)
             self.root = node
             self.size = 1
-            sink = self.sink
-            if sink is not None:
-                sink.touch_count += 1
             return node
         dn = self._dn
         s = self._ds
@@ -128,9 +121,6 @@ class TopDownTree(Tree):
             self._recount()
             raise
         self.size += 1
-        sink = self.sink
-        if sink is not None:
-            sink.touch_count += 1 + self._depth(key, node)
         return node
 
     def _insert_repair_left(self, v: Node, p: Node, key):
@@ -140,7 +130,6 @@ class TopDownTree(Tree):
         outer = l.left
         gn = self._gn
         gd = self._gd
-        sink = self.sink
         if key <= l.key:
             dbl = inner.weight * gd > (outer.weight + 1) * gn
         else:
@@ -149,13 +138,11 @@ class TopDownTree(Tree):
                 # The rising pivot is the key's own empty slot: build the
                 # node right here and the insertion is done. Booked as the
                 # double it stands in for, with tree-as-it-will-be weights.
+                sink = self.sink
                 if sink is not None:
-                    sink.touch_count += 3
                     sink.record_rotation(l.weight + 1)
                     sink.record_rotation(v.weight)
                 return v, self._materialize(v, p, l, v, key)
-        if sink is not None:
-            sink.touch_count += 2
         if dbl:
             rotate_left(self, l, v)
         return rotate_right(self, v, p), None
@@ -166,19 +153,16 @@ class TopDownTree(Tree):
         outer = r.right
         gn = self._gn
         gd = self._gd
-        sink = self.sink
         if key > r.key:
             dbl = inner.weight * gd > (outer.weight + 1) * gn
         else:
             dbl = (inner.weight + 1) * gd > outer.weight * gn
             if dbl and inner is NIL:
+                sink = self.sink
                 if sink is not None:
-                    sink.touch_count += 3
                     sink.record_rotation(r.weight + 1)
                     sink.record_rotation(v.weight)
                 return v, self._materialize(v, p, v, r, key)
-        if sink is not None:
-            sink.touch_count += 2
         if dbl:
             rotate_right(self, r, v)
         return rotate_left(self, v, p), None
@@ -252,30 +236,13 @@ class TopDownTree(Tree):
             # v holds the key; p is its parent.
             c = v.left
             if c is nil or v.right is nil:
-                at = splice_out(self, v, p)
-                low = None
+                splice_out(self, v, p)
             else:
-                at, low = self._remove_two_child(v, p, c.weight - 1)
+                self._remove_two_child(v, p, c.weight - 1)
         except BaseException:
             self._recount()
             raise
         self.size -= 1
-        sink = self.sink
-        if sink is not None:
-            # The root, then the chain of the lowest node that lost a
-            # descendant: the path above the unlinked node's slot, now held
-            # by at; for a relinked predecessor also at itself and, unless
-            # it lost one itself, at.left's right spine down to that node.
-            n = 1 + self._depth(key, at)
-            if low is not None:
-                n += 1
-                if low is not at:
-                    x = at.left
-                    n += 1
-                    while x is not low:
-                        x = x.right
-                        n += 1
-            sink.touch_count += n
         return True
 
     def _delete_repair(self, v: Node, c: Node, p: Node) -> Node:
@@ -284,9 +251,6 @@ class TopDownTree(Tree):
         # gamma test reads current weights.
         gn = self._gn
         gd = self._gd
-        sink = self.sink
-        if sink is not None:
-            sink.touch_count += 2
         if c is v.left:
             h = v.right
             if h.left.weight * gd > h.right.weight * gn:
@@ -303,8 +267,7 @@ class TopDownTree(Tree):
         # v.left's weight less the leaving node; each level writes its
         # carried weight and gets one repair chance. A repair raises the
         # level's left child, whose right child is then the repaired node:
-        # the pass re-aims there without a second check. Returns u and the
-        # lowest node that lost a descendant.
+        # the pass re-aims there without a second check.
         nil = NIL
         dd = self._dd
         s = self._ds
@@ -323,9 +286,8 @@ class TopDownTree(Tree):
                 u = c
                 w = cw
             c = u.right
-        low = relink_predecessor(self, v, p, u, up)
+        relink_predecessor(self, v, p, u, up)
         u.weight = u.left.weight + u.right.weight
-        return u, low
 
     def _miss(self, key) -> bool:
         # The key is absent: walk its path again from the root and add back
@@ -335,23 +297,7 @@ class TopDownTree(Tree):
         while v is not nil:
             v.weight += 1
             v = v.left if key < v.key else v.right
-        sink = self.sink
-        if sink is not None:
-            sink.touch_count += self._depth(key, nil)
         return False
-
-    def _depth(self, key, at) -> int:
-        # For the sink only: the nodes on key's path from the root down to
-        # at, which lies on that path (the sentinel: the whole path), at
-        # excluded. Each such node compared unequal to a deleted key, so
-        # <= picks the side a delete's < did.
-        nil = NIL
-        n = 0
-        v = self.root
-        while v is not at and v is not nil:
-            n += 1
-            v = v.left if key <= v.key else v.right
-        return n
 
     def _recount(self):
         # A key comparison raised. The links are sound, but the weights on

@@ -276,8 +276,8 @@ def test_timed_reps_run_without_a_sink_then_count_once_more():
         once.insert(k)
     once.sink = MetricsSink()
     phase(once)
-    assert (sink.rotation_count, sink.touch_count) == (
-        once.sink.rotation_count, once.sink.touch_count) != (0, 0)
+    assert (sink.rotation_count, sink.rotated_weight_total) == (
+        once.sink.rotation_count, once.sink.rotated_weight_total) != (0, 0)
     assert final is base and final.inorder_keys() == list(range(300))
 
 

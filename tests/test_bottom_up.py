@@ -63,19 +63,6 @@ def test_delete_leaf_and_missing():
     assert len(t) == 2
 
 
-def test_delete_of_absent_key_books_its_search_path():
-    sink = MetricsSink()
-    t = grown(range(0, 2000, 2), sink=sink)
-    path = 0
-    v = t.root
-    while v is not NIL:
-        path += 1
-        v = v.left if 777 < v.key else v.right
-    before = sink.touch_count
-    assert t.delete(777) is False
-    assert sink.touch_count - before == path > 0
-
-
 @pytest.mark.parametrize("op,present", [("insert", False),
                                         ("delete", True), ("delete", False)])
 def test_raising_comparison_changes_nothing(op, present):
@@ -184,7 +171,6 @@ def test_sink_sees_rotations():
     t = grown(range(50), sink=sink)
     assert sink.rotation_count > 0
     assert sink.rotated_weight_total >= 2 * sink.rotation_count
-    assert sink.touch_count >= 50
 
 
 keys_strategy = st.lists(st.integers(0, 40), min_size=0, max_size=120)

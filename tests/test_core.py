@@ -268,7 +268,7 @@ def test_relink_predecessor_that_is_the_left_child(outer):
     g = t.root if outer else NIL
     v = t.root.left if outer else t.root
     u = v.left
-    assert relink_predecessor(t, v, g, u, v) is u
+    relink_predecessor(t, v, g, u, v)
     assert (u.left.key, u.right.key) == (2, 20)
     assert (g.left if outer else t.root) is u
     settle(t, *([g, u] if outer else [u]))
@@ -287,7 +287,7 @@ def test_relink_deeper_predecessor_hands_its_slot_to_its_left_child(outer):
     five = v.left
     u = subtree_maximum(five)
     assert u.key == 8
-    assert relink_predecessor(t, v, g, u, five) is five
+    relink_predecessor(t, v, g, u, five)
     assert five.right.key == 7
     assert u.left is five and u.right.key == 20
     assert (g.left if outer else t.root) is u
@@ -304,7 +304,7 @@ def test_core_edits_write_no_parent_field():
                  (20, None, (30, None, None))))
     five = t.root.left
     assert splice_out(t, t.root.right, t.root).key == 30
-    assert relink_predecessor(t, t.root, NIL, five.right, five) is five
+    relink_predecessor(t, t.root, NIL, five.right, five)
     assert structure_string(t) == "(8 (5 (2 . .) (7 . .)) (30 . .))"
     assert link_left(t, five, t.root).key == 7
     assert structure_string(t) == "(8 (7 (5 (2 . .) .) .) (30 . .))"

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from wbtree.bench import expand_variants
 from wbtree.bottom_up import BottomUpTree
 from wbtree.metrics import (
     CSV_COLUMNS,
@@ -12,13 +14,14 @@ from wbtree.metrics import (
     max_depth,
     summarize_ns,
 )
-from wbtree.core import NIL
+from wbtree.core import NIL, structure_string
 from wbtree.params import PARAM_SETS, make_params, params_from_name
 from wbtree.redblack import RedBlackTree
 from wbtree.top_down import TopDownTree
 
-from test_core import tree_of
+from test_core import dump, tree_of
 from test_golden import PARAMS
+from test_top_down import Counted
 
 
 def test_sink_single_accumulates():
@@ -171,9 +174,23 @@ def test_columns_are_stable():
     assert CSV_COLUMNS[-1] == "normalized_elapsed"
 
 
-def test_touch_counting_through_trees():
-    s = MetricsSink()
-    t = TopDownTree(PARAM_SETS["topdown"], sink=s)
-    for k in range(20):
-        t.insert(k)
-    assert s.touch_count >= 20
+@pytest.mark.parametrize("vs", expand_variants(
+    ["bottom_up", "top_down", "redblack"], PARAMS[:5]),
+    ids=lambda vs: vs.label)
+def test_a_sink_adds_no_key_comparisons(vs):
+    # A sink books rotations only: the same op stream of counting keys,
+    # with misses among its deletes and searches, compares as many keys
+    # and leaves the same tree with a sink attached as without one.
+    rng = random.Random(7)
+    ops = [(rng.randrange(10), rng.randrange(3000)) for _ in range(6000)]
+    seen = []
+    for sink in (None, MetricsSink()):
+        t = vs.make_tree(sink)
+        calls = (t.insert,) * 5 + (t.delete,) * 4 + (t.search,)
+        Counted.calls = 0
+        for op, k in ops:
+            calls[op](Counted(k))
+        shape = structure_string(t) if vs.scheme == "redblack" else dump(t)
+        seen.append((Counted.calls, shape))
+    assert seen[0] == seen[1]
+    assert sink.rotation_count > 0
