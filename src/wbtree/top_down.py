@@ -18,14 +18,15 @@ no balance guarantee.
 
 One wrinkle: the gamma test may pick a double rotation whose rising pivot
 is the key's own empty slot (the inner grandchild position the key is headed
-for, currently nil). Rotating the tree-as-it-will-be then simply means
-building the new node at the current position, with the old occupant and its
-heavy child as the two children; the insertion is complete at that moment.
-Downgrading to a single rotation here instead would leave the heavy child
-lopsided and is the main source of persistent imbalance for tight parameter
-pairs. The empty-slot case can only arise on the branch where the key heads
-for the inner grandchild: a nil inner can never win the gamma test on the
-outer branch, since that would need gamma < 1/2.
+for, currently nil). The new node, built once at the top of insert, is then
+hung in that slot, its 1 is added to the heavy child's weight, and the usual
+double rotation raises it into the current position, with the old occupant
+and its heavy child as its two children; the insertion is complete at that
+moment. Downgrading to a single rotation here instead would leave the heavy
+child lopsided and is the main source of persistent imbalance for tight
+parameter pairs. The empty-slot case can only arise on the branch where the
+key heads for the inner grandchild: a nil inner can never win the gamma test
+on the outer branch, since that would need gamma < 1/2.
 
 Deletion mirrors this with decrements: w is the weight with the pending -1
 applied and cw = weight(child) - 1 for the child about to shrink. Each level
@@ -61,8 +62,8 @@ class TopDownTree(Tree):
     def insert(self, key) -> Node:
         nil = NIL
         v = self.root
+        node = Node(key, nil, nil, 2)
         if v is nil:
-            node = Node(key, nil, nil, 2)
             self.root = node
             self.size = 1
             return node
@@ -76,7 +77,7 @@ class TopDownTree(Tree):
                 if key <= v.key:
                     c = v.left
                     if c is nil:
-                        node = v.left = Node(key, nil, nil, 2)
+                        v.left = node
                         break
                     cw = c.weight + 1
                     # Pending arrival on the left: overload iff
@@ -86,11 +87,11 @@ class TopDownTree(Tree):
                         v = c
                         w = cw
                         continue
-                    v, node = self._insert_repair_left(v, p, key)
+                    v = self._insert_repair_left(v, p, node)
                 else:
                     c = v.right
                     if c is nil:
-                        node = v.right = Node(key, nil, nil, 2)
+                        v.right = node
                         break
                     cw = c.weight + 1
                     if cw * s <= w * dn:
@@ -98,8 +99,8 @@ class TopDownTree(Tree):
                         v = c
                         w = cw
                         continue
-                    v, node = self._insert_repair_right(v, p, key)
-                if node is not None:
+                    v = self._insert_repair_right(v, p, node)
+                if v is None:
                     break
                 # Re-aim against the new occupant, which holds the same
                 # nodes, and descend one level without a second check.
@@ -107,12 +108,12 @@ class TopDownTree(Tree):
                 if key <= v.key:
                     c = v.left
                     if c is nil:
-                        node = v.left = Node(key, nil, nil, 2)
+                        v.left = node
                         break
                 else:
                     c = v.right
                     if c is nil:
-                        node = v.right = Node(key, nil, nil, 2)
+                        v.right = node
                         break
                 p = v
                 v = c
@@ -123,68 +124,50 @@ class TopDownTree(Tree):
         self.size += 1
         return node
 
-    def _insert_repair_left(self, v: Node, p: Node, key):
-        # Left side will be too heavy once the key lands. l is real here.
+    def _insert_repair_left(self, v: Node, p: Node, node: Node):
+        # Left side will be too heavy once node lands. l is real here.
+        # Returns the new occupant of v's position, or None once node
+        # itself has risen there.
         l = v.left
         inner = l.right
         outer = l.left
         gn = self._gn
         gd = self._gd
-        if key <= l.key:
+        if node.key <= l.key:
             dbl = inner.weight * gd > (outer.weight + 1) * gn
         else:
             dbl = (inner.weight + 1) * gd > outer.weight * gn
             if dbl and inner is NIL:
-                # The rising pivot is the key's own empty slot: build the
-                # node right here and the insertion is done. Booked as the
-                # double it stands in for, with tree-as-it-will-be weights.
-                sink = self.sink
-                if sink is not None:
-                    sink.record_rotation(l.weight + 1)
-                    sink.record_rotation(v.weight)
-                return v, self._materialize(v, p, l, v, key)
+                # The rising pivot is node's own empty slot: hang it there,
+                # then the usual double raises it into v's position.
+                l.right = node
+                l.weight += 1
+                rotate_left(self, l, v)
+                rotate_right(self, v, p)
+                return None
         if dbl:
             rotate_left(self, l, v)
-        return rotate_right(self, v, p), None
+        return rotate_right(self, v, p)
 
-    def _insert_repair_right(self, v: Node, p: Node, key):
+    def _insert_repair_right(self, v: Node, p: Node, node: Node):
         r = v.right
         inner = r.left
         outer = r.right
         gn = self._gn
         gd = self._gd
-        if key > r.key:
+        if node.key > r.key:
             dbl = inner.weight * gd > (outer.weight + 1) * gn
         else:
             dbl = (inner.weight + 1) * gd > outer.weight * gn
             if dbl and inner is NIL:
-                sink = self.sink
-                if sink is not None:
-                    sink.record_rotation(r.weight + 1)
-                    sink.record_rotation(v.weight)
-                return v, self._materialize(v, p, v, r, key)
+                r.left = node
+                r.weight += 1
+                rotate_right(self, r, v)
+                rotate_left(self, v, p)
+                return None
         if dbl:
             rotate_right(self, r, v)
-        return rotate_left(self, v, p), None
-
-    def _materialize(self, v: Node, p: Node, a: Node, b: Node, key) -> Node:
-        # New node at v's position under p, with children (a, b); a keeps
-        # only its left subtree, b only its right. All three weights are
-        # rebuilt from scratch, which absorbs the optimistic +1 v took on
-        # arrival.
-        nil = NIL
-        a.right = nil
-        a.weight = a.left.weight + 1
-        b.left = nil
-        b.weight = 1 + b.right.weight
-        node = Node(key, a, b, a.weight + b.weight)
-        if p is nil:
-            self.root = node
-        elif p.left is v:
-            p.left = node
-        else:
-            p.right = node
-        return node
+        return rotate_left(self, v, p)
 
     def delete(self, key) -> bool:
         nil = NIL

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wbtree import core, redblack
 from wbtree.bench import expand_variants
 from wbtree.bottom_up import BottomUpTree
 from wbtree.metrics import (
@@ -174,9 +175,10 @@ def test_columns_are_stable():
     assert CSV_COLUMNS[-1] == "normalized_elapsed"
 
 
-@pytest.mark.parametrize("vs", expand_variants(
-    ["bottom_up", "top_down", "redblack"], PARAMS[:5]),
-    ids=lambda vs: vs.label)
+VARIANTS = expand_variants(["bottom_up", "top_down", "redblack"], PARAMS[:5])
+
+
+@pytest.mark.parametrize("vs", VARIANTS, ids=lambda vs: vs.label)
 def test_a_sink_adds_no_key_comparisons(vs):
     # A sink books rotations only: the same op stream of counting keys,
     # with misses among its deletes and searches, compares as many keys
@@ -194,3 +196,31 @@ def test_a_sink_adds_no_key_comparisons(vs):
         seen.append((Counted.calls, shape))
     assert seen[0] == seen[1]
     assert sink.rotation_count > 0
+
+
+@pytest.mark.parametrize("vs", VARIANTS, ids=lambda vs: vs.label)
+def test_every_booked_rotation_is_a_link_edit(vs, monkeypatch):
+    # A sink books a rotation exactly where a link edit raises a node: on
+    # one stream of inserts with duplicates and deletes with misses, the
+    # link edits made equal the rotations booked.
+    edits = 0
+
+    def counting(link):
+        def counted(tree, v, p):
+            nonlocal edits
+            edits += 1
+            return link(tree, v, p)
+        return counted
+
+    for name in ("link_left", "link_right"):
+        counted = counting(getattr(core, name))
+        monkeypatch.setattr(core, name, counted)
+        monkeypatch.setattr(redblack, name, counted)
+    rng = random.Random(11)
+    sink = MetricsSink()
+    t = vs.make_tree(sink)
+    for i in range(3000):
+        t.insert(rng.randrange(1000))
+        if i % 3 == 2:
+            t.delete(rng.randrange(1000))
+    assert edits == sink.rotation_count > 0

@@ -2,6 +2,7 @@ import hashlib
 import random
 import sys
 
+import pytest
 from hypothesis import given, strategies as st
 
 from wbtree import bench, oracle
@@ -9,6 +10,8 @@ from wbtree.core import NIL, structure_string
 from wbtree.metrics import MetricsSink, max_depth
 from wbtree.oracle import SortedMultisetOracle
 from wbtree.redblack import BLACK, RED, RedBlackTree, audit
+
+from test_top_down import Fuse
 
 
 def grown(keys, sink=None):
@@ -88,6 +91,35 @@ def _nodes_inorder(t):
         out.append(v)
         v = v.right
     return out
+
+
+@pytest.mark.parametrize("op,present", [("insert", False),
+                                        ("delete", True), ("delete", False)])
+def test_raising_comparison_changes_nothing(op, present):
+    # Both ops compare keys only while recording their path, before any
+    # link or colour changes, so a key that raises at any comparison
+    # leaves the shape, every colour and the size as they were.
+    rng = random.Random(13)
+    base = grown([2 * rng.randrange(150) for _ in range(300)])
+    keys = base.inorder_keys()
+    k = keys[len(keys) // 2] if present else 151
+    if present:  # a node with two children, so delete relinks
+        v = base.search(k)
+        assert v.left is not NIL and v.right is not NIL
+    spare = Fuse(k, 10 ** 6)
+    getattr(base.clone(), op)(spare)
+    needed = 10 ** 6 - spare.budget
+    assert needed > 2
+
+    def state(t):
+        return structure_string(t), [v.red for v in _nodes_inorder(t)]
+
+    before = state(base)
+    for budget in range(needed):
+        t = base.clone()
+        with pytest.raises(RuntimeError):
+            getattr(t, op)(Fuse(k, budget))
+        assert state(t) == before and len(t) == len(keys)
 
 
 def test_sink_counts_rotations():

@@ -88,8 +88,8 @@ def test_anticipated_double_reaims_below_old_outer_grandchild():
 
 def test_empty_slot_double_builds_node_in_place():
     # Inserting between a leaf and its lone child: the double rotation's
-    # rising pivot is the key's own empty slot, so the node materializes
-    # at the top position directly.
+    # rising pivot is the key's own empty slot, so the node is hung there
+    # and the double raises it to the top position.
     t = TopDownTree(PARAM_SETS["tight"])
     t.insert(10)
     t.insert(20)
@@ -453,7 +453,17 @@ def test_raising_key_leaves_exact_weights(name):
     base = seeded(name)
     keys = base.inorder_keys()
     present = keys[len(keys) // 2]
-    for op, k in (("insert", 151), ("delete", present), ("delete", 151)):
+    cases = [("insert", 151), ("delete", present), ("delete", 151)]
+    # A double can raise the key's own empty slot, below a leaf that is its
+    # parent's only child, under delta < 3 and gamma < 2 only: the node is
+    # hung there, then rotated up, so it alone ends with children at once.
+    params = base.params
+    slot = [k for k in range(1, 300, 2)
+            if base.clone().insert(k).left is not NIL]
+    assert bool(slot) == (params.dn < 3 * params.dd
+                          and params.gn < 2 * params.gd)
+    cases += [("insert", k) for k in slot[:1]]
+    for op, k in cases:
         spare = Fuse(k, 10 ** 6)
         getattr(base.clone(), op)(spare)
         needed = 10 ** 6 - spare.budget
