@@ -8,18 +8,18 @@ a node with at most one child, relink_predecessor for one with two, whose
 path first extends down the left child's right spine to the predecessor,
 which then takes the deleted node's slot in the list. The upward pass walks
 the list back to the root, refreshing each node's weight from its children
-and repairing any overhang with a single or double rotation chosen by the
-gamma test; each node's parent is the entry before it. Every ancestor is
-re-checked; deletions can push imbalance arbitrarily far up, so there is no
-early exit. Nodes carry no parent link.
+and repairing any overhang with core's raise_child, the single or double
+rotation top-down repairs with too, chosen here by the gamma test on final
+weights; each node's parent is the entry before it. Every ancestor is
+re-checked, as deletions can push imbalance arbitrarily far up.
 
 Neither pass keeps a counter; an attached metrics sink books rotations only.
 """
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, relink_predecessor, rotate_left,
-                   rotate_right, splice_out)
+from .core import (NIL, Node, Tree, raise_child, relink_predecessor,
+                   splice_out)
 
 
 class BottomUpTree(Tree):
@@ -109,12 +109,10 @@ class BottomUpTree(Tree):
                     # under gamma = 1 it ties a leaf's empty outer one, and
                     # turning it would rotate the shared sentinel.
                     m = r.left
-                    if m is not nil and m.weight * gd >= r.right.weight * gn:
-                        rotate_right(self, r, v)
-                    rotate_left(self, v, p)
+                    raise_child(self, v, r, p, m is not nil and
+                                m.weight * gd >= r.right.weight * gn)
             elif wr * dn < wl * dd:
                 m = l.right
-                if m is not nil and m.weight * gd >= l.left.weight * gn:
-                    rotate_left(self, l, v)
-                rotate_right(self, v, p)
+                raise_child(self, v, l, p, m is not nil and
+                            m.weight * gd >= l.left.weight * gn)
             v = p

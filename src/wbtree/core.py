@@ -23,8 +23,8 @@ mutation.
 SearchTree (len, search, in-order keys) and the link edits link_left,
 link_right and splice_out serve all three trees. Every link edit exists
 once and takes the parent of the node it moves as an argument. Weights,
-rotation booking and the predecessor relink are for the weight-balanced
-trees only.
+rotations and the predecessor relink are for the weight-balanced trees
+only, which rotate only through raise_child, their one rebalancing step.
 """
 
 from __future__ import annotations
@@ -239,6 +239,20 @@ def rotate_right(tree: Tree, v: Node, p: Node) -> Node:
     v.weight = v.left.weight + v.right.weight
     r.weight = r.left.weight + v.weight
     return r
+
+
+def raise_child(tree: Tree, v: Node, h: Node, p: Node, double: bool) -> Node:
+    """Raise v's child h into v's position under p and return the new
+    occupant. With double, h's inner child first takes h's position and is
+    the one that rises. Both weight-balanced schemes repair with this one
+    step, a single or double rotation; the caller's gamma test picks."""
+    if h is v.left:
+        if double:
+            rotate_left(tree, h, v)
+        return rotate_right(tree, v, p)
+    if double:
+        rotate_right(tree, h, v)
+    return rotate_left(tree, v, p)
 
 
 def structure_string(tree) -> str:

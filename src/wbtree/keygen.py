@@ -49,14 +49,6 @@ STREAM_VICTIM = 4
 STREAM_OPMIX = 5
 
 
-def mix64(x: int) -> int:
-    """The splitmix64 output stage as a standalone mixing function."""
-    z = (x + _GOLDEN) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
 class SplitMix64:
     """Counter-based 64-bit generator; see the module docstring."""
 
@@ -91,6 +83,12 @@ class SplitMix64:
         for i in range(len(xs) - 1, 0, -1):
             j = below(i + 1)
             xs[i], xs[j] = xs[j], xs[i]
+
+
+def mix64(x: int) -> int:
+    """The splitmix64 output stage as a standalone mixing function: the
+    first output of a generator seeded with x."""
+    return SplitMix64(x).next_u64()
 
 
 def derive_seed(seed: int, *parts: int) -> int:

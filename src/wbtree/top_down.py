@@ -8,25 +8,25 @@ pending weight is cw = weight(child) + 1. Since weight(v) = weight(left) +
 weight(right), the sibling's weight is w - cw without loading the sibling,
 and the pending arrival overloads the child's side iff
 cw * dd > (w - cw) * dn, that is iff cw * (dn + dd) > w * dn. If it does,
-the descent rotates at the current position, single or double per the gamma
-test, where the gamma test also anticipates which grandchild subtree the key
-will land in; only then is the heavy side loaded. After a rotation the
-descent re-aims with one comparison against the node now occupying the
-position and carries on downward with the chosen child's weight; at most one
-rotation happens per level, which bounds work even for parameter sets with
-no balance guarantee.
+core's raise_child lifts that child into the current position, by a single
+or double rotation per the gamma test, which also anticipates the grandchild
+subtree the key will land in; only then is the heavy side loaded. After a
+rotation the descent re-aims with one comparison against the node now
+occupying the position and carries on downward with the chosen child's
+weight; at most one rotation happens per level, which bounds work even for
+parameter sets with no balance guarantee.
 
 One wrinkle: the gamma test may pick a double rotation whose rising pivot
 is the key's own empty slot (the inner grandchild position the key is headed
 for, currently nil). The new node, built once at the top of insert, is then
-hung in that slot, its 1 is added to the heavy child's weight, and the usual
-double rotation raises it into the current position, with the old occupant
-and its heavy child as its two children; the insertion is complete at that
-moment. Downgrading to a single rotation here instead would leave the heavy
-child lopsided and is the main source of persistent imbalance for tight
-parameter pairs. The empty-slot case can only arise on the branch where the
-key heads for the inner grandchild: a nil inner can never win the gamma test
-on the outer branch, since that would need gamma < 1/2.
+hung in that slot, its 1 is added to the heavy child's weight, and
+raise_child's double rotation lifts it into the current position, with the
+old occupant and its heavy child as its two children; the insertion is
+complete at that moment. Downgrading to a single rotation here would leave
+the heavy child lopsided and is the main source of persistent imbalance for
+tight parameter pairs. The empty-slot case can only arise on the branch
+where the key heads for the inner grandchild: a nil inner can never win the
+gamma test on the outer branch, since that would need gamma < 1/2.
 
 Deletion mirrors this with decrements: w is the weight with the pending -1
 applied and cw = weight(child) - 1 for the child about to shrink. Each level
@@ -53,8 +53,8 @@ where they happen, so an op compares the same keys with a sink as without.
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, relink_predecessor, rotate_left,
-                   rotate_right, splice_out)
+from .core import (NIL, Node, Tree, raise_child, relink_predecessor,
+                   splice_out)
 
 
 class TopDownTree(Tree):
@@ -87,7 +87,6 @@ class TopDownTree(Tree):
                         v = c
                         w = cw
                         continue
-                    v = self._insert_repair_left(v, p, node)
                 else:
                     c = v.right
                     if c is nil:
@@ -99,7 +98,7 @@ class TopDownTree(Tree):
                         v = c
                         w = cw
                         continue
-                    v = self._insert_repair_right(v, p, node)
+                v = self._insert_repair(v, c, p, node)
                 if v is None:
                     break
                 # Re-aim against the new occupant, which holds the same
@@ -124,50 +123,33 @@ class TopDownTree(Tree):
         self.size += 1
         return node
 
-    def _insert_repair_left(self, v: Node, p: Node, node: Node):
-        # Left side will be too heavy once node lands. l is real here.
-        # Returns the new occupant of v's position, or None once node
-        # itself has risen there.
-        l = v.left
-        inner = l.right
-        outer = l.left
-        gn = self._gn
-        gd = self._gd
-        if node.key <= l.key:
-            dbl = inner.weight * gd > (outer.weight + 1) * gn
+    def _insert_repair(self, v: Node, c: Node, p: Node, node: Node):
+        # c, v's non-empty child on node's side, will be too heavy once
+        # node lands. Returns the new occupant of v's position, or None
+        # once node itself has risen there.
+        if c is v.left:
+            inner = c.right
+            outer = c.left
+            inward = node.key > c.key
         else:
-            dbl = (inner.weight + 1) * gd > outer.weight * gn
+            inner = c.left
+            outer = c.right
+            inward = node.key <= c.key
+        if not inward:
+            dbl = inner.weight * self._gd > (outer.weight + 1) * self._gn
+        else:
+            dbl = (inner.weight + 1) * self._gd > outer.weight * self._gn
             if dbl and inner is NIL:
                 # The rising pivot is node's own empty slot: hang it there,
                 # then the usual double raises it into v's position.
-                l.right = node
-                l.weight += 1
-                rotate_left(self, l, v)
-                rotate_right(self, v, p)
+                if c is v.left:
+                    c.right = node
+                else:
+                    c.left = node
+                c.weight += 1
+                raise_child(self, v, c, p, True)
                 return None
-        if dbl:
-            rotate_left(self, l, v)
-        return rotate_right(self, v, p)
-
-    def _insert_repair_right(self, v: Node, p: Node, node: Node):
-        r = v.right
-        inner = r.left
-        outer = r.right
-        gn = self._gn
-        gd = self._gd
-        if node.key > r.key:
-            dbl = inner.weight * gd > (outer.weight + 1) * gn
-        else:
-            dbl = (inner.weight + 1) * gd > outer.weight * gn
-            if dbl and inner is NIL:
-                r.left = node
-                r.weight += 1
-                rotate_right(self, r, v)
-                rotate_left(self, v, p)
-                return None
-        if dbl:
-            rotate_right(self, r, v)
-        return rotate_left(self, v, p)
+        return raise_child(self, v, c, p, dbl)
 
     def delete(self, key) -> bool:
         nil = NIL
@@ -232,17 +214,13 @@ class TopDownTree(Tree):
         # Raise the heavy sibling of c, the shrinking child, into v's
         # position under p; the deletion target is never inside it, so the
         # gamma test reads current weights.
-        gn = self._gn
-        gd = self._gd
         if c is v.left:
             h = v.right
-            if h.left.weight * gd > h.right.weight * gn:
-                rotate_right(self, h, v)
-            return rotate_left(self, v, p)
-        h = v.left
-        if h.right.weight * gd > h.left.weight * gn:
-            rotate_left(self, h, v)
-        return rotate_right(self, v, p)
+            dbl = h.left.weight * self._gd > h.right.weight * self._gn
+        else:
+            h = v.left
+            dbl = h.right.weight * self._gd > h.left.weight * self._gn
+        return raise_child(self, v, h, p, dbl)
 
     def _remove_two_child(self, v: Node, p: Node, w: int):
         # Continue the downward pass along v.left's right spine to the

@@ -7,6 +7,7 @@ from wbtree.core import (
     Node,
     Tree,
     link_left,
+    raise_child,
     relink_predecessor,
     rotate_left,
     rotate_right,
@@ -199,6 +200,52 @@ def test_double_rotation_raises_inner_grandchild():
     assert audit_structure(t) == []
 
 
+def mirror(shape):
+    """The shape reflected left to right, keys negated to keep the order."""
+    if shape is None:
+        return None
+    key, l, r = shape
+    return (-key, mirror(r), mirror(l))
+
+
+# (before, after) of raising 30's left child 10, single and double.
+_LEAF = {k: (k, None, None) for k in (5, 15, 20, 25, 40)}
+RAISE_SINGLE = ((30, (10, _LEAF[5], _LEAF[20]), _LEAF[40]),
+                (10, _LEAF[5], (30, _LEAF[20], _LEAF[40])))
+RAISE_DOUBLE = ((30, (10, _LEAF[5], (20, _LEAF[15], _LEAF[25])), _LEAF[40]),
+                (20, (10, _LEAF[5], _LEAF[15]), (30, _LEAF[25], _LEAF[40])))
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["root", "below"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+def test_raise_child(double, side, below):
+    # v's child h on either side rises into v's slot, at the root or under
+    # a parent; a double first raises h's inner child, which then rises.
+    before, after = RAISE_DOUBLE if double else RAISE_SINGLE
+    if side == "right":
+        before, after = mirror(before), mirror(after)
+    if below:
+        before = (99, before, (100, None, None))
+        after = (99, after, (100, None, None))
+    t = tree_of(before)
+    sink = MetricsSink()
+    t.sink = sink
+    p = t.root if below else NIL
+    v = p.left if below else t.root
+    h = v.left if side == "left" else v.right
+    inner = h.right if side == "left" else h.left
+    top = raise_child(t, v, h, p, double)
+    assert top is (inner if double else h)
+    assert (p.left if below else t.root) is top
+    assert dump(t) == dump(tree_of(after))
+    # Pre-rotation weights: v weighs 6 (single) or 8 (double), and a
+    # double books h's 6 first.
+    assert sink.rotation_count == 1 + double
+    assert sink.rotated_weight_total == (14 if double else 6)
+    assert audit_structure(t) == []
+
+
 @given(st.lists(st.integers(-50, 50), min_size=2, max_size=80))
 def test_single_rotations_preserve_order_and_structure(keys):
     t = BottomUpTree(PARAM_SETS["integral"])
@@ -220,11 +267,9 @@ def test_double_rotations_preserve_order_and_structure(keys):
         t.insert(k)
     before = t.inorder_keys()
     if t.root.right is not NIL and t.root.right.left is not NIL:
-        rotate_right(t, t.root.right, t.root)
-        rotate_left(t, t.root, NIL)
+        raise_child(t, t.root, t.root.right, NIL, True)
     if t.root.left is not NIL and t.root.left.right is not NIL:
-        rotate_left(t, t.root.left, t.root)
-        rotate_right(t, t.root, NIL)
+        raise_child(t, t.root, t.root.left, NIL, True)
     assert t.inorder_keys() == before
     assert audit_structure(t) == []
 

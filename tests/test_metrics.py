@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wbtree import core, redblack
+from wbtree import bottom_up, core, redblack, top_down
 from wbtree.bench import expand_variants
 from wbtree.bottom_up import BottomUpTree
 from wbtree.metrics import (
@@ -198,6 +198,15 @@ def test_a_sink_adds_no_key_comparisons(vs):
     assert sink.rotation_count > 0
 
 
+def churn(t):
+    """Inserts with duplicates, and deletes with misses, on one stream."""
+    rng = random.Random(11)
+    for i in range(3000):
+        t.insert(rng.randrange(1000))
+        if i % 3 == 2:
+            t.delete(rng.randrange(1000))
+
+
 @pytest.mark.parametrize("vs", VARIANTS, ids=lambda vs: vs.label)
 def test_every_booked_rotation_is_a_link_edit(vs, monkeypatch):
     # A sink books a rotation exactly where a link edit raises a node: on
@@ -216,11 +225,31 @@ def test_every_booked_rotation_is_a_link_edit(vs, monkeypatch):
         counted = counting(getattr(core, name))
         monkeypatch.setattr(core, name, counted)
         monkeypatch.setattr(redblack, name, counted)
-    rng = random.Random(11)
     sink = MetricsSink()
-    t = vs.make_tree(sink)
-    for i in range(3000):
-        t.insert(rng.randrange(1000))
-        if i % 3 == 2:
-            t.delete(rng.randrange(1000))
+    churn(vs.make_tree(sink))
     assert edits == sink.rotation_count > 0
+
+
+@pytest.mark.parametrize("vs", [vs for vs in VARIANTS
+                                if vs.scheme != "redblack"],
+                         ids=lambda vs: vs.label)
+def test_every_booked_rotation_happens_in_raise_child(vs, monkeypatch):
+    # Both weight-balanced schemes rotate only through core.raise_child:
+    # on one churn stream, every rotation the sink books is booked inside
+    # it, one for a single and two for a double.
+    inside = 0
+
+    def counted(tree, v, h, p, double):
+        nonlocal inside
+        before = tree.sink.rotation_count
+        top = core.raise_child(tree, v, h, p, double)
+        booked = tree.sink.rotation_count - before
+        assert booked == 1 + double
+        inside += booked
+        return top
+
+    for mod in (top_down, bottom_up):
+        monkeypatch.setattr(mod, "raise_child", counted)
+    sink = MetricsSink()
+    churn(vs.make_tree(sink))
+    assert inside == sink.rotation_count > 0

@@ -239,12 +239,6 @@ def test_exact_predicate_classic_matches_high_precision(wl, wr):
     assert ok(wl, wr) == want
 
 
-def test_exact_predicate_generic_real_uses_float_value():
-    # classic is the only real-valued set; no other float pair exists.
-    with pytest.raises(ValueError):
-        make_params(2.5, 1.5)
-
-
 def delta_fraction(params) -> Fraction:
     """delta's exact value, or 1 + sqrt 2 to 50 digits for the classic set."""
     if params == PARAM_SETS["classic"]:

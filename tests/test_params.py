@@ -38,10 +38,15 @@ def test_real_mode_from_floats():
     assert p.gn == g and p.gd == 1.0
 
 
-def test_mixed_operands_promote_to_real():
-    # classic's pair is the only real-valued set; a mixed pair is not it.
+@pytest.mark.parametrize("delta, gamma", [
+    (2 ** 0.5 + 1, Fraction(3, 2)),
+    (2.5, 1.5),
+], ids=["mixed", "floats"])
+def test_real_operands_other_than_classic_are_rejected(delta, gamma):
+    # classic's pair is the only real-valued set: neither a mixed pair nor
+    # another float pair is it.
     with pytest.raises(ValueError):
-        make_params(2 ** 0.5 + 1, Fraction(3, 2))
+        make_params(delta, gamma)
 
 
 @pytest.mark.parametrize("bad", [0.5, 0, -1, Fraction(9, 10), float("inf"), float("nan")])

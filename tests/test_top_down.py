@@ -549,3 +549,36 @@ def test_tight_is_not_sound_top_down():
     assert structure_string(t) == "(6 (2 (0 . .) (4 (3 . .) .)) (8 . .))"
     assert audit_structure(t) == []
     assert audit_balance(t) == ["balance at 6: true weights (5, 2)"]
+
+
+def test_tight_is_not_sound_bottom_up():
+    # The witness behind README's "no" for `tight` under the bottom-up
+    # scheme: a balanced eight-key tree that one insert leaves out of
+    # balance after the upward pass, every stored weight still true.
+    t = BottomUpTree(PARAM_SETS["tight"])
+    t.root = build((25, (17, (5, (0, None, None), None),
+                         (20, (18, None, None), None)),
+                    (32, (31, None, None), None)))
+    t.size = 8
+    assert audit_balance(t) == []
+    t.insert(24)
+    assert structure_string(t) == (
+        "(17 (5 (0 . .) .) (25 (20 (18 . .) (24 . .)) (32 (31 . .) .)))")
+    assert audit_structure(t) == []
+    assert audit_balance(t) == ["balance at 17: true weights (3, 7)"]
+
+
+@pytest.mark.parametrize("cls, want", [
+    (TopDownTree, "balance at 1: true weights (1, 2)"),
+    (BottomUpTree, "balance at 2: true weights (2, 1)"),
+])
+def test_overtight_is_not_sound(cls, want):
+    # The witness behind both of README's "no" cells for `overtight`
+    # (<3/2, 5/4>): under delta = 3/2 no two-key tree is balanced, since
+    # its root's children weigh 2 and 1, so the second insert leaves one.
+    t = cls(PARAM_SETS["overtight"])
+    t.insert(1)
+    assert audit_balance(t) == []
+    t.insert(2)
+    assert audit_structure(t) == []
+    assert audit_balance(t) == [want]
