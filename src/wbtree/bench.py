@@ -184,13 +184,6 @@ class ExperimentSpec:
         return ZIPF_UNIVERSE if self.dist == "zipf" else WIDE_UNIVERSE
 
 
-@dataclass
-class RunResult:
-    """Rows for emission, in cell order."""
-
-    rows: list[MetricsRecord]
-
-
 def _base_keys(spec: ExperimentSpec, size: int, tree_idx: int) -> list[int]:
     seed = derive_seed(spec.seed, size, tree_idx, STREAM_BASE)
     return generate(spec.dist, size, spec.universe_for(size), seed,
@@ -292,7 +285,7 @@ def _cell(spec: ExperimentSpec, vs: VariantSpec, keys, run, where: str):
     return rows
 
 
-def _grid(spec: ExperimentSpec, make_run) -> RunResult:
+def _grid(spec: ExperimentSpec, make_run) -> list[MetricsRecord]:
     """Run one cell per size, base tree and variant, in that order.
     make_run(size, ti, keys) gives the run all variants share there."""
     spec.check()
@@ -304,7 +297,7 @@ def _grid(spec: ExperimentSpec, make_run) -> RunResult:
             where = f"{spec.experiment} n={size} tree={ti}"
             for vs in spec.variants:
                 rows.extend(_cell(spec, vs, keys, run, where))
-    return RunResult(rows)
+    return rows
 
 
 def _timed(spec: ExperimentSpec, size: int, op: str, n_ops: int, phase):
@@ -320,7 +313,7 @@ def _timed(spec: ExperimentSpec, size: int, op: str, n_ops: int, phase):
     return run
 
 
-def _pct_rows(spec: ExperimentSpec, op: str, draw) -> RunResult:
+def _pct_rows(spec: ExperimentSpec, op: str, draw) -> list[MetricsRecord]:
     """Time ceil(5%) ops of one kind on each base tree. draw(size, ti,
     keys, m) gives the op keys, the same list for every variant."""
     def make_run(size, ti, keys):
@@ -335,7 +328,7 @@ def _pct_rows(spec: ExperimentSpec, op: str, draw) -> RunResult:
     return _grid(spec, make_run)
 
 
-def run_insert_pct(spec: ExperimentSpec) -> RunResult:
+def run_insert_pct(spec: ExperimentSpec) -> list[MetricsRecord]:
     """Time inserting ceil(5%) fresh keys into each base tree."""
     def draw(size, ti, keys, m):
         return fresh_keys(spec.dist, m, spec.universe_for(size),
@@ -344,7 +337,7 @@ def run_insert_pct(spec: ExperimentSpec) -> RunResult:
     return _pct_rows(spec, "insert", draw)
 
 
-def run_erase_pct(spec: ExperimentSpec) -> RunResult:
+def run_erase_pct(spec: ExperimentSpec) -> list[MetricsRecord]:
     """Time deleting ceil(5%) keys picked uniformly from the contents."""
     def draw(size, ti, keys, m):
         # Uniform draws without replacement from a scratch copy.
@@ -354,7 +347,7 @@ def run_erase_pct(spec: ExperimentSpec) -> RunResult:
     return _pct_rows(spec, "erase", draw)
 
 
-def run_depth_churn(spec: ExperimentSpec) -> RunResult:
+def run_depth_churn(spec: ExperimentSpec) -> list[MetricsRecord]:
     """Delete every original key and reinsert a fresh one; report depth.
 
     One pass per cell, on the built tree itself (no repetition floor: the
@@ -387,7 +380,8 @@ def run_depth_churn(spec: ExperimentSpec) -> RunResult:
     return _grid(spec, make_run)
 
 
-def _churn_rows(spec: ExperimentSpec, want_violations: bool) -> RunResult:
+def _churn_rows(spec: ExperimentSpec,
+                want_violations: bool) -> list[MetricsRecord]:
     """Shared driver for the over-time experiments.
 
     Runs op-pairs (delete a uniform victim, insert a fresh key) on each
@@ -426,11 +420,11 @@ def _churn_rows(spec: ExperimentSpec, want_violations: bool) -> RunResult:
     return _grid(spec, make_run)
 
 
-def run_violations_over_time(spec: ExperimentSpec) -> RunResult:
+def run_violations_over_time(spec: ExperimentSpec) -> list[MetricsRecord]:
     return _churn_rows(spec, want_violations=True)
 
 
-def run_rotations(spec: ExperimentSpec) -> RunResult:
+def run_rotations(spec: ExperimentSpec) -> list[MetricsRecord]:
     return _churn_rows(spec, want_violations=False)
 
 
@@ -457,7 +451,8 @@ def parse_ops(text: str) -> list[tuple[str, int]]:
 _REPLAY_BASELINE = ("bottom_up", "classic")
 
 
-def run_replay(spec: ExperimentSpec, ops: list[tuple[str, int]]) -> RunResult:
+def run_replay(spec: ExperimentSpec,
+               ops: list[tuple[str, int]]) -> list[MetricsRecord]:
     """Replay a recorded op list against every variant, from empty.
 
     Times the whole list on an empty tree until the time floor is met and
@@ -488,7 +483,7 @@ def run_replay(spec: ExperimentSpec, ops: list[tuple[str, int]]) -> RunResult:
     for r in rows:
         r.normalized_elapsed = (r.elapsed_ns / base_mean if base_mean > 0
                                 else -1.0)
-    return RunResult(rows)
+    return rows
 
 
 def emit_results(rows: list[MetricsRecord], fmt: str, path: str | None):

@@ -148,15 +148,15 @@ def _run(args) -> int:
             except ValueError as e:
                 print(f"wbtree-bench: {args.sequence}: {e}", file=sys.stderr)
                 return 3
-            result = run_replay(spec, ops)
+            rows = run_replay(spec, ops)
         else:
-            result = RUNNERS[args.experiment](spec)
+            rows = RUNNERS[args.experiment](spec)
     except AuditFailure as e:
         print(f"wbtree-bench: audit failure: {e}", file=sys.stderr)
         return 2
 
     try:
-        emit_results(result.rows, args.format, args.out)
+        emit_results(rows, args.format, args.out)
     except OSError as e:
         print(f"wbtree-bench: cannot write {args.out}: {e}", file=sys.stderr)
         return 3

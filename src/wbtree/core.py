@@ -20,11 +20,13 @@ still works: every run of equal keys is reachable by the usual three-way
 descent). Single-writer only; nothing here is safe for concurrent
 mutation.
 
-SearchTree (len, search, in-order keys) and the link edits link_left,
-link_right and splice_out serve all three trees. Every link edit exists
-once and takes the parent of the node it moves as an argument. Weights,
-rotations and the predecessor relink are for the weight-balanced trees
-only, which rotate only through raise_child, their one rebalancing step.
+SearchTree (len, search, in-order keys) and the link edits lift (a
+rotation, on either side) and splice_out serve all three trees; each takes
+the parent of the node it moves as an argument. Weights, rotate and the
+predecessor relink are for the weight-balanced trees only, which rotate
+only through raise_child, their one rebalancing step. One link edit is
+not here: the red-black delete relinks the successor, the mirror of
+relink_predecessor, and merging the two would change red-black shapes.
 """
 
 from __future__ import annotations
@@ -184,61 +186,40 @@ def relink_predecessor(tree: Tree, v: Node, g: Node, u: Node, up: Node):
     return up
 
 
-def link_left(tree, v, p):
-    """Raise v.right into v's position under p and return it.
-
-    Edits links only, for any of the three trees.
-    """
-    r = v.right
-    v.right = r.left
-    if p is NIL:
-        tree.root = r
-    elif p.left is v:
-        p.left = r
+def lift(tree, v, h, p):
+    """Raise h, v's child on either side, into v's position under p: v
+    takes h's inner child in h's old slot and hangs below h on the other
+    side. Edits links only, for any of the three trees; the only place in
+    any tree where a node rises by rotation."""
+    if h is v.left:
+        v.left = h.right
+        h.right = v
     else:
-        p.right = r
-    r.left = v
-    return r
-
-
-def link_right(tree, v, p):
-    """Mirror of link_left: raise v.left into v's position under p."""
-    r = v.left
-    v.left = r.right
+        v.right = h.left
+        h.left = v
     if p is NIL:
-        tree.root = r
+        tree.root = h
     elif p.left is v:
-        p.left = r
+        p.left = h
     else:
-        p.right = r
-    r.right = v
-    return r
+        p.right = h
 
 
-def rotate_left(tree: Tree, v: Node, p: Node) -> Node:
-    """Weight-balanced left rotation: link_left, then both weights.
+def rotate(tree: Tree, v: Node, h: Node, p: Node) -> Node:
+    """Weight-balanced single rotation: lift h over v, then both weights.
 
-    An attached metrics sink books one rotation with v's weight from before
-    the rotation; a double rotation is two calls, inner pivot first.
+    h now holds exactly v's old subtree, so it takes v's stored weight (a
+    top-down caller's pending step included). An attached metrics sink
+    books one rotation with that weight.
     """
+    w = v.weight
     sink = tree.sink
     if sink is not None:
-        sink.record_rotation(v.weight)
-    r = link_left(tree, v, p)
+        sink.record_rotation(w)
+    lift(tree, v, h, p)
     v.weight = v.left.weight + v.right.weight
-    r.weight = v.weight + r.right.weight
-    return r
-
-
-def rotate_right(tree: Tree, v: Node, p: Node) -> Node:
-    """Mirror of rotate_left: link_right, then both weights."""
-    sink = tree.sink
-    if sink is not None:
-        sink.record_rotation(v.weight)
-    r = link_right(tree, v, p)
-    v.weight = v.left.weight + v.right.weight
-    r.weight = r.left.weight + v.weight
-    return r
+    h.weight = w
+    return h
 
 
 def raise_child(tree: Tree, v: Node, h: Node, p: Node, double: bool) -> Node:
@@ -246,13 +227,9 @@ def raise_child(tree: Tree, v: Node, h: Node, p: Node, double: bool) -> Node:
     occupant. With double, h's inner child first takes h's position and is
     the one that rises. Both weight-balanced schemes repair with this one
     step, a single or double rotation; the caller's gamma test picks."""
-    if h is v.left:
-        if double:
-            rotate_left(tree, h, v)
-        return rotate_right(tree, v, p)
     if double:
-        rotate_right(tree, h, v)
-    return rotate_left(tree, v, p)
+        h = rotate(tree, h, h.right if h is v.left else h.left, v)
+    return rotate(tree, v, h, p)
 
 
 def structure_string(tree) -> str:

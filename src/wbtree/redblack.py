@@ -2,15 +2,19 @@
 
 Same multiset contract as the weight-balanced trees: equal keys descend
 left, search returns the first match on the path, delete removes one node.
-Search, the in-order walk, the rotation link edits, the one-child splice
-and the NIL sentinel are core's; the property audit is the referee's,
-oracle.audit_redblack, imported here as audit. Nodes carry key, two
-children and a colour bit, and no parent link: insert and delete record
-the nodes they pass in a per-op list headed by the sentinel, as the
-bottom-up weight-balanced tree does, and the fixups (Cormen et al., ch.
-13) walk that list back by index, handing each rotation the pivot's
-parent. No node has a weight field, so when a metrics sink asks for
-rotation weights the pivot's subtree is counted on demand.
+Search, the in-order walk, the rotation link edit (core.lift, which
+raises a child on either side), the one-child splice and the NIL sentinel
+are core's; the successor relink in delete is this tree's own. The
+property audit is the referee's, oracle.audit_redblack, imported here as
+audit. Nodes carry key, two children and a colour bit, and no parent link:
+insert and delete record the nodes they pass in a per-op list headed by
+the sentinel, as the bottom-up weight-balanced tree does, and the fixups
+(Cormen et al., ch. 13) walk that list back by index, handing each
+rotation the pivot's parent. Each fixup is one body for both sides, as
+Cormen et al. state it ("with left and right exchanged"): it reads once
+on which side of its parent the red p (insert) or the short x (delete)
+hangs and names the other nodes relative to that side. No node has a weight field, so when a metrics sink asks
+for rotation weights the pivot's subtree is counted on demand.
 
 Invariants: the root is black, a red node has no red child, and every
 root-to-leaf path crosses the same number of black nodes.
@@ -18,7 +22,7 @@ root-to-leaf path crosses the same number of black nodes.
 
 from __future__ import annotations
 
-from .core import NIL, SearchTree, link_left, link_right, splice_out
+from .core import NIL, SearchTree, lift, splice_out
 from .oracle import audit_redblack as audit  # noqa: F401
 
 RED = True
@@ -85,18 +89,13 @@ class RedBlackTree(SearchTree):
                 stack.append(x.right)
         return n + 1
 
-    def _rotate_left(self, v: RbNode, p: RbNode):
-        """Rotate left at v, whose parent is p (the sentinel at the root)."""
+    def _lift(self, v: RbNode, h: RbNode, p: RbNode):
+        """Rotate v's child h, on either side, into v's position under p
+        (the sentinel at the root)."""
         sink = self.sink
         if sink is not None:
             sink.record_rotation(self._subtree_weight(v))
-        link_left(self, v, p)
-
-    def _rotate_right(self, v: RbNode, p: RbNode):
-        sink = self.sink
-        if sink is not None:
-            sink.record_rotation(self._subtree_weight(v))
-        link_right(self, v, p)
+        lift(self, v, h, p)
 
     def insert(self, key) -> RbNode:
         nil = NIL
@@ -128,39 +127,25 @@ class RedBlackTree(SearchTree):
         p = path[i]
         while p.red:
             # p is red, so not the root: its parent g is a real node.
+            # One body for both sides: the uncle u is g's other child, and
+            # z is the inner grandchild when it is p's child on u's side.
             g = path[i - 1]
-            if p is g.left:
-                u = g.right
-                if u.red:
-                    p.red = False
-                    u.red = False
-                    g.red = True
-                    z = g
-                    i -= 2
-                    p = path[i]
-                    continue
-                if z is p.right:
-                    self._rotate_left(p, g)
-                    p = z
+            on_left = p is g.left
+            u = g.right if on_left else g.left
+            if u.red:
                 p.red = False
+                u.red = False
                 g.red = True
-                self._rotate_right(g, path[i - 2])
-            else:
-                u = g.left
-                if u.red:
-                    p.red = False
-                    u.red = False
-                    g.red = True
-                    z = g
-                    i -= 2
-                    p = path[i]
-                    continue
-                if z is p.left:
-                    self._rotate_right(p, g)
-                    p = z
-                p.red = False
-                g.red = True
-                self._rotate_left(g, path[i - 2])
+                z = g
+                i -= 2
+                p = path[i]
+                continue
+            if z is (p.right if on_left else p.left):
+                self._lift(p, z, g)
+                p = z
+            p.red = False
+            g.red = True
+            self._lift(g, p, path[i - 2])
             break
         self.root.red = False
 
@@ -226,51 +211,40 @@ class RedBlackTree(SearchTree):
             if p is nil:
                 break
             g = path[i - 1]
-            if x is p.left:
-                w = p.right
-                if w.red:
-                    w.red = False
-                    p.red = True
-                    self._rotate_left(p, g)
-                    # w is p's parent now; p is red, so the loop ends at
-                    # p and only the rotation below reads g.
-                    g = w
-                    w = p.right
-                if not w.left.red and not w.right.red:
-                    w.red = True
-                    x = p
-                    i -= 1
-                    continue
-                if not w.right.red:
-                    w.left.red = False
-                    w.red = True
-                    self._rotate_right(w, p)
-                    w = p.right
-                w.red = p.red
-                p.red = False
-                w.right.red = False
-                self._rotate_left(p, g)
+            # One body for both sides: w is x's sibling, near its child on
+            # x's side and far the other one.
+            on_left = x is p.left
+            w = p.right if on_left else p.left
+            if w.red:
+                w.red = False
+                p.red = True
+                self._lift(p, w, g)
+                # w is p's parent now; p is red, so the loop ends at p and
+                # only the rotation below reads g.
+                g = w
+                w = p.right if on_left else p.left
+            if on_left:
+                near = w.left
+                far = w.right
             else:
-                w = p.left
-                if w.red:
-                    w.red = False
-                    p.red = True
-                    self._rotate_right(p, g)
-                    g = w
-                    w = p.left
-                if not w.right.red and not w.left.red:
-                    w.red = True
-                    x = p
-                    i -= 1
-                    continue
-                if not w.left.red:
-                    w.right.red = False
-                    w.red = True
-                    self._rotate_left(w, p)
-                    w = p.left
-                w.red = p.red
-                p.red = False
-                w.left.red = False
-                self._rotate_right(p, g)
+                near = w.right
+                far = w.left
+            if not near.red and not far.red:
+                w.red = True
+                x = p
+                i -= 1
+                continue
+            if not far.red:
+                # The red near child rises over w, which becomes its far
+                # child.
+                near.red = False
+                w.red = True
+                self._lift(w, near, p)
+                far = w
+                w = near
+            w.red = p.red
+            p.red = False
+            far.red = False
+            self._lift(p, w, g)
             break
         x.red = False

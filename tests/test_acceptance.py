@@ -246,7 +246,7 @@ def test_c3_loose_topdown_violations_stabilize():
             dist="uniform", sizes=[10 ** 5], base_trees=1, seed=seed,
             op_pairs=2 * 10 ** 5, sample_interval=10 ** 3)
         res = run_violations_over_time(spec)
-        fracs = [r.violation_count / 10 ** 5 for r in res.rows]
+        fracs = [r.violation_count / 10 ** 5 for r in res]
         assert len(fracs) == 200
         q2 = statistics.fmean(fracs[50:100])
         q4 = statistics.fmean(fracs[150:200])
@@ -272,7 +272,7 @@ def _churn_depth_means(dist, schemes):
     res = run_depth_churn(spec)
     means = {}
     for name in (vs.params_name for vs in spec.variants):
-        vals = [r.avg_depth for r in res.rows if r.params == name]
+        vals = [r.avg_depth for r in res if r.params == name]
         assert len(vals) == 10
         means[name or "redblack"] = statistics.fmean(vals)
     return means
@@ -304,7 +304,7 @@ def test_c4_uniform_churn_depth_ordering():
     res = run_depth_churn(spec)
     bu = {}
     for name in ("overtight", "tight", "classic"):
-        vals = [r.avg_depth for r in res.rows if r.params == name]
+        vals = [r.avg_depth for r in res if r.params == name]
         assert len(vals) == 10
         bu[name] = statistics.fmean(vals)
     bu_line = (f"bottom_up n=10^4: tight {bu['tight']:.3f} / classic "
@@ -350,7 +350,7 @@ def test_c6_rotation_count_ratios():
         op_pairs=10 ** 5, sample_interval=10 ** 5)
     res = run_rotations(spec)
     totals = {}
-    for r in res.rows:
+    for r in res:
         if r.op_index == r.ops:
             totals[r.params] = totals.get(r.params, 0) + r.rotation_count
     ints = totals["integral"] / totals["classic"]
@@ -380,8 +380,8 @@ def test_c7_topdown_insert_pass_is_faster():
     res = run_insert_pct(spec)
     # rows come out tree-major, so filtering by variant keeps tree order
     # and zip below pairs measurements taken on the same base tree
-    td = [r.elapsed_ns for r in res.rows if r.variant == "top_down"]
-    bu = [r.elapsed_ns for r in res.rows if r.variant == "bottom_up"]
+    td = [r.elapsed_ns for r in res if r.variant == "top_down"]
+    bu = [r.elapsed_ns for r in res if r.variant == "bottom_up"]
     assert len(td) == len(bu) == 10
     wins = sum(1 for a, b in zip(td, bu) if a < b)
     print(f"[C7] top_down faster per insert: "
@@ -440,8 +440,8 @@ def test_c9_identical_seeds_identical_bytes(tmp_path):
     (r1, s1), (r2, s2) = shape_run(), shape_run()
     assert s1 == s2 and len(s1) == 6
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_results(r1.rows, "csv", str(p1))
-    emit_results(r2.rows, "csv", str(p2))
+    emit_results(r1, "csv", str(p1))
+    emit_results(r2, "csv", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
     keys = gen_uniform(3000, WIDE, 31).keys

@@ -191,9 +191,9 @@ def test_insert_pct_rows():
     variants = expand_variants(["bottom_up", "redblack"], ["integral"])
     res, shapes = run_with_shapes(run_insert_pct,
                                   tiny_spec("insert-pct", variants))
-    assert len(res.rows) == 2 * 2          # trees x variants
+    assert len(res) == 2 * 2          # trees x variants
     assert len(shapes) == 4
-    for r in res.rows:
+    for r in res:
         assert r.op == "insert"
         assert r.ops == 2                  # ceil(40 / 20)
         assert r.op_index == -1
@@ -251,7 +251,7 @@ def test_timed_cells_leave_no_trees_behind(experiment):
     finally:
         gc.enable()
     if experiment in ("insert-pct", "erase-pct", "replay"):
-        assert all(r.rep > 1 for r in res.rows)
+        assert all(r.rep > 1 for r in res)
 
 
 def test_timed_reps_run_without_a_sink_then_count_once_more():
@@ -285,8 +285,8 @@ def test_erase_pct_shares_victims():
     variants = expand_variants(["bottom_up", "top_down"], ["integral"])
     spec = tiny_spec("erase-pct", variants, sizes=[60], base_trees=1)
     res, shapes = run_with_shapes(run_erase_pct, spec)
-    assert len(res.rows) == 2
-    for r in res.rows:
+    assert len(res) == 2
+    for r in res:
         assert r.op == "erase" and r.ops == 3
     a = shapes[(60, 0, "bottom_up/integral")]
     b = shapes[(60, 0, "top_down/integral")]
@@ -308,8 +308,8 @@ def test_depth_churn_preserves_size():
     res, shapes = run_with_shapes(
         run_depth_churn,
         tiny_spec("depth-churn", variants, sizes=[50], base_trees=2))
-    assert len(res.rows) == 4
-    for r in res.rows:
+    assert len(res) == 4
+    for r in res:
         assert r.op == "churn" and r.rep == 1 and r.ops == 50
         assert r.avg_depth > 0.0
     assert len(shapes) == 4
@@ -324,10 +324,10 @@ def test_violations_over_time_samples():
     spec = tiny_spec("violations", variants, sizes=[64], base_trees=1,
                      op_pairs=10, sample_interval=4)
     res = run_violations_over_time(spec)
-    assert [r.op_index for r in res.rows] == [4, 8, 10]
-    assert all(r.ops == 10 and r.op == "pair" for r in res.rows)
-    assert all(r.violation_count >= 0 for r in res.rows)
-    counts = [r.rotation_count for r in res.rows]
+    assert [r.op_index for r in res] == [4, 8, 10]
+    assert all(r.ops == 10 and r.op == "pair" for r in res)
+    assert all(r.violation_count >= 0 for r in res)
+    counts = [r.rotation_count for r in res]
     assert counts == sorted(counts)        # cumulative
 
 
@@ -336,9 +336,9 @@ def test_rotations_skips_violation_scan():
     spec = tiny_spec("rotations", variants, sizes=[64], base_trees=1,
                      op_pairs=12, sample_interval=5)
     res = run_rotations(spec)
-    assert [r.op_index for r in res.rows] == [5, 10, 12]
-    assert all(r.violation_count == -1 for r in res.rows)
-    weights = [r.rotated_weight_total for r in res.rows]
+    assert [r.op_index for r in res] == [5, 10, 12]
+    assert all(r.violation_count == -1 for r in res)
+    weights = [r.rotated_weight_total for r in res]
     assert weights == sorted(weights)
 
 
@@ -350,9 +350,9 @@ def test_over_time_determinism():
     r2, s2 = run_with_shapes(run_violations_over_time, mk())
     assert s1 == s2 and len(s1) == 2
     assert [(r.op_index, r.rotation_count, r.violation_count)
-            for r in r1.rows] == \
+            for r in r1] == \
            [(r.op_index, r.rotation_count, r.violation_count)
-            for r in r2.rows]
+            for r in r2]
 
 
 # --- replay ----------------------------------------------------------------
@@ -386,9 +386,9 @@ def test_replay_adds_baseline_and_normalizes():
     ops = [("i", k) for k in range(30)] + [("d", k) for k in range(0, 30, 3)]
     spec = tiny_spec("replay", expand_variants(["top_down"], ["integral"]))
     res, shapes = run_with_shapes(run_replay, spec, ops)
-    labels = {(r.variant, r.params) for r in res.rows}
+    labels = {(r.variant, r.params) for r in res}
     assert labels == {("bottom_up", "classic"), ("top_down", "integral")}
-    for r in res.rows:
+    for r in res:
         assert r.op == "replay" and r.ops == len(ops)
         assert r.rep == 1  # time_floor_ms=0: one rep
         if (r.variant, r.params) == ("bottom_up", "classic"):
@@ -402,8 +402,8 @@ def test_replay_adds_baseline_and_normalizes():
 def test_replay_keeps_explicit_baseline():
     spec = tiny_spec("replay", expand_variants(["bottom_up"], ["classic"]))
     res = run_replay(spec, [("i", 1), ("i", 2), ("d", 1)])
-    assert len(res.rows) == 1
-    assert res.rows[0].normalized_elapsed == 1.0
+    assert len(res) == 1
+    assert res[0].normalized_elapsed == 1.0
 
 
 # --- emission --------------------------------------------------------------
@@ -413,7 +413,7 @@ def test_emit_csv_round_trip(tmp_path):
     res = run_insert_pct(tiny_spec("insert-pct", variants, sizes=[30],
                                    base_trees=1))
     path = tmp_path / "out.csv"
-    emit_results(res.rows, "csv", str(path))
+    emit_results(res, "csv", str(path))
     with open(path, newline="", encoding="utf-8") as f:
         back = list(csv.DictReader(f))
     assert len(back) == 1
@@ -436,7 +436,7 @@ def test_emit_jsonl(tmp_path):
     res = run_insert_pct(tiny_spec("insert-pct", variants, sizes=[30],
                                    base_trees=1))
     path = tmp_path / "out.jsonl"
-    emit_results(res.rows, "jsonl", str(path))
+    emit_results(res, "jsonl", str(path))
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     obj = json.loads(lines[0])

@@ -6,11 +6,10 @@ from wbtree.core import (
     NIL,
     Node,
     Tree,
-    link_left,
+    lift,
     raise_child,
     relink_predecessor,
-    rotate_left,
-    rotate_right,
+    rotate,
     splice_out,
     structure_string,
 )
@@ -159,7 +158,7 @@ def test_single_rotation_weights_and_links():
     t = tree_of((10, None, (20, None, (30, None, None))))
     sink = MetricsSink()
     t.sink = sink
-    top = rotate_left(t, t.root, NIL)
+    top = rotate(t, t.root, t.root.right, NIL)
     assert top.key == 20 and t.root is top
     assert structure_string(t) == "(20 (10 . .) (30 . .))"
     assert (t.root.weight, t.root.left.weight, t.root.right.weight) == (4, 2, 2)
@@ -170,7 +169,7 @@ def test_single_rotation_weights_and_links():
 
 def test_single_rotation_right_mirror():
     t = tree_of((30, (20, (10, None, None), None), None))
-    top = rotate_right(t, t.root, NIL)
+    top = rotate(t, t.root, t.root.left, NIL)
     assert structure_string(t) == "(20 (10 . .) (30 . .))"
     assert top.weight == 4
     assert audit_structure(t) == []
@@ -178,7 +177,7 @@ def test_single_rotation_right_mirror():
 
 def test_rotation_below_root_relinks_parent():
     t = tree_of((50, (10, None, (20, None, (30, None, None))), (60, None, None)))
-    top = rotate_left(t, t.root.left, t.root)
+    top = rotate(t, t.root.left, t.root.left.right, t.root)
     assert structure_string(t) == "(50 (20 (10 . .) (30 . .)) (60 . .))"
     assert t.root.left is top
     assert audit_structure(t) == []
@@ -188,8 +187,8 @@ def test_double_rotation_raises_inner_grandchild():
     t = tree_of((10, (5, None, None), (20, (15, None, None), None)))
     sink = MetricsSink()
     t.sink = sink
-    rotate_right(t, t.root.right, t.root)
-    top = rotate_left(t, t.root, NIL)
+    rotate(t, t.root.right, t.root.right.left, t.root)
+    top = rotate(t, t.root, t.root.right, NIL)
     assert top.key == 15 and t.root is top
     assert structure_string(t) == "(15 (10 (5 . .) .) (20 . .))"
     assert (top.weight, top.left.weight, top.right.weight) == (5, 3, 2)
@@ -253,9 +252,9 @@ def test_single_rotations_preserve_order_and_structure(keys):
         t.insert(k)
     before = t.inorder_keys()
     if t.root.right is not NIL:
-        rotate_left(t, t.root, NIL)
+        rotate(t, t.root, t.root.right, NIL)
     if t.root.left is not NIL:
-        rotate_right(t, t.root, NIL)
+        rotate(t, t.root, t.root.left, NIL)
     assert t.inorder_keys() == before
     assert audit_structure(t) == []
 
@@ -344,14 +343,15 @@ def test_relink_deeper_predecessor_hands_its_slot_to_its_left_child(outer):
 
 def test_core_edits_write_no_parent_field():
     # Each edit takes the parent as an argument: a splice, a predecessor
-    # relink and both link edits leave a sound tree of parent-free nodes.
+    # relink and a lift leave a sound tree of parent-free nodes.
     t = tree_of((10, (5, (2, None, None), (8, (7, None, None), None)),
                  (20, None, (30, None, None))))
     five = t.root.left
     assert splice_out(t, t.root.right, t.root).key == 30
     relink_predecessor(t, t.root, NIL, five.right, five)
     assert structure_string(t) == "(8 (5 (2 . .) (7 . .)) (30 . .))"
-    assert link_left(t, five, t.root).key == 7
+    lift(t, five, five.right, t.root)
+    assert t.root.left.key == 7
     assert structure_string(t) == "(8 (7 (5 (2 . .) .) .) (30 . .))"
     for v in (t.root.left.left, t.root.left, t.root):
         v.weight = v.left.weight + v.right.weight

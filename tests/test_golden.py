@@ -128,7 +128,7 @@ def harness_text(run, spec, *args) -> str:
     res, shapes = run_with_shapes(run, spec, *args)
     keep = [i for i, c in enumerate(CSV_COLUMNS) if c not in TIMING_COLUMNS]
     rows = "".join(",".join(r.to_row()[i] for i in keep) + "\n"
-                   for r in res.rows)
+                   for r in res)
     shapes = "".join(f"{cell} {shape}\n" for cell, shape in shapes.items())
     return rows + shapes
 

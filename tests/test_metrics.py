@@ -17,7 +17,7 @@ from wbtree.metrics import (
 )
 from wbtree.core import NIL, structure_string
 from wbtree.params import PARAM_SETS, make_params, params_from_name
-from wbtree.redblack import RedBlackTree
+from wbtree.redblack import RbNode, RedBlackTree
 from wbtree.top_down import TopDownTree
 
 from test_core import dump, tree_of
@@ -213,21 +213,60 @@ def test_every_booked_rotation_is_a_link_edit(vs, monkeypatch):
     # one stream of inserts with duplicates and deletes with misses, the
     # link edits made equal the rotations booked.
     edits = 0
+    lift = core.lift
 
-    def counting(link):
-        def counted(tree, v, p):
-            nonlocal edits
-            edits += 1
-            return link(tree, v, p)
-        return counted
+    def counted(tree, v, h, p):
+        nonlocal edits
+        edits += 1
+        return lift(tree, v, h, p)
 
-    for name in ("link_left", "link_right"):
-        counted = counting(getattr(core, name))
-        monkeypatch.setattr(core, name, counted)
-        monkeypatch.setattr(redblack, name, counted)
+    monkeypatch.setattr(core, "lift", counted)
+    monkeypatch.setattr(redblack, "lift", counted)
     sink = MetricsSink()
     churn(vs.make_tree(sink))
     assert edits == sink.rotation_count > 0
+
+
+def mirrored_preorder(t, flip: bool) -> list:
+    """Pre-order (key, weight or colour) of t's nodes, None for an empty
+    child; with flip, keys negated and right children first. Iterative."""
+    out = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if v is NIL:
+            out.append(None)
+            continue
+        out.append((-v.key if flip else v.key,
+                    v.red if isinstance(v, RbNode) else v.weight))
+        if flip:
+            stack += (v.left, v.right)
+        else:
+            stack += (v.right, v.left)
+    return out
+
+
+@pytest.mark.parametrize("vs", VARIANTS, ids=lambda vs: vs.label)
+def test_negated_inserts_build_the_mirror_image(vs):
+    # Every rotation raises a child on either side through one code path,
+    # so inserting -k for each k must build the mirror image, with equal
+    # weights or colours and the same rotations booked. Deletes do not
+    # mirror: the weight-balanced trees relink the predecessor and the
+    # red-black tree the successor.
+    rng = random.Random(19)
+    keys = rng.sample(range(1, 10 ** 6), 3000)
+    trees = []
+    for sign in (1, -1):
+        sink = MetricsSink()
+        t = vs.make_tree(sink)
+        for k in keys:
+            t.insert(sign * k)
+        trees.append((t, sink))
+    (t, s), (m, ms) = trees
+    assert mirrored_preorder(t, False) == mirrored_preorder(m, True)
+    assert (s.rotation_count, s.rotated_weight_total) == \
+        (ms.rotation_count, ms.rotated_weight_total)
+    assert s.rotation_count > 0
 
 
 @pytest.mark.parametrize("vs", [vs for vs in VARIANTS
