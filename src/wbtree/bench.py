@@ -28,7 +28,6 @@ hundreds of times per cell.
 from __future__ import annotations
 
 import csv
-import functools
 import gc
 import io
 import json
@@ -61,7 +60,8 @@ from .metrics import (
 )
 from .oracle import (audit_balance, audit_redblack as rb_audit,
                      audit_structure)
-from .params import SOUND_PARAMS, BalanceParams, param_set_name, params_from_name
+from .params import (SOUND_PARAMS, BalanceParams, param_set_name,
+                     params_from_name)
 from .redblack import RedBlackTree
 from .top_down import TopDownTree
 
@@ -122,7 +122,8 @@ class VariantSpec:
         return f"VariantSpec({self.label})"
 
 
-def expand_variants(schemes: list[str], param_names: list[str]) -> list[VariantSpec]:
+def expand_variants(schemes: list[str],
+                    param_names: list[str]) -> list[VariantSpec]:
     """Cross schemes with parameter sets; redblack ignores the params list."""
     out = []
     for s in schemes:
@@ -131,7 +132,8 @@ def expand_variants(schemes: list[str], param_names: list[str]) -> list[VariantS
         elif s in ("bottom_up", "top_down"):
             if not param_names:
                 raise ValueError(f"{s} needs at least one parameter set")
-            out.extend(VariantSpec(s, params_from_name(p)) for p in param_names)
+            out.extend(VariantSpec(s, params_from_name(p))
+                       for p in param_names)
         else:
             raise ValueError(f"unknown variant {s!r}")
     return out
@@ -211,21 +213,6 @@ def _audit_cell(vs: VariantSpec, tree, spec: ExperimentSpec, where: str):
         raise AuditFailure(f"{vs.label} {where}: " + "; ".join(problems[:4]))
 
 
-def _gc_quiet(cell):
-    """Run a harness cell with the automatic collector off; its state is
-    restored however the cell exits."""
-    @functools.wraps(cell)
-    def quiet(*args):
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return cell(*args)
-        finally:
-            if was_enabled:
-                gc.enable()
-    return quiet
-
-
 def _timed_reps(spec: ExperimentSpec, base_tree, phase):
     """Clone, run phase, repeat until the floor or MAX_REPS, with no sink
     in the timed window; then count the phase, untimed, on base_tree
@@ -276,13 +263,20 @@ def _violations(vs: VariantSpec, tree) -> int:
     return count_violations(tree) if vs.scheme != "redblack" else -1
 
 
-@_gc_quiet
 def _cell(spec: ExperimentSpec, vs: VariantSpec, keys, run, where: str):
     """Build vs on keys, let run(vs, tree) return (rows, final tree), audit
-    the final tree once. Returns the rows."""
-    rows, final = run(vs, _build(vs, keys))
-    _audit_cell(vs, final, spec, where)
-    return rows
+    the final tree once. Returns the rows. The automatic collector stays
+    off throughout, as it would only rescan the live trees (none is
+    cyclic), and is restored however the cell exits."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows, final = run(vs, _build(vs, keys))
+        _audit_cell(vs, final, spec, where)
+        return rows
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _grid(spec: ExperimentSpec, make_run) -> list[MetricsRecord]:

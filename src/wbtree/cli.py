@@ -7,6 +7,7 @@ parse error, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -48,22 +49,24 @@ def _add_common(p: argparse.ArgumentParser):
                    help="comma list of parameter-set names "
                         "(classic, integral, topdown, tight, overtight, "
                         "or custom:<dn>/<dd>:<gn>/<gd>)")
-    p.add_argument("--dist", choices=DISTS, default="uniform")
-    p.add_argument("--sizes", type=_int_list, default=[1000],
+    # An experiment option left out is absent from the namespace, so its
+    # default is ExperimentSpec's alone.
+    p.add_argument("--dist", choices=DISTS, default=argparse.SUPPRESS)
+    p.add_argument("--sizes", type=_int_list, default=argparse.SUPPRESS,
                    help="comma list of base tree sizes")
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (default: WBTREE_SEED env var, else 1)")
-    p.add_argument("--base-trees", type=int, default=10)
-    p.add_argument("--time-floor-ms", type=int, default=1000)
-    p.add_argument("--sample-interval", type=int, default=10000)
-    p.add_argument("--zipf-s", type=float, default=1.0)
-    p.add_argument("--universe", type=int, default=None,
+    p.add_argument("--base-trees", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--time-floor-ms", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--sample-interval", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--zipf-s", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--universe", type=int, default=argparse.SUPPRESS,
                    help="key universe override (default depends on --dist)")
-    p.add_argument("--op-pairs", type=int, default=None,
+    p.add_argument("--op-pairs", type=int, default=argparse.SUPPRESS,
                    help="op pairs for violations/rotations (default 2*size)")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p.add_argument("--audit", action="store_true",
+    p.add_argument("--audit", action="store_true", default=argparse.SUPPRESS,
                    help="verify structure (and balance where guaranteed) "
                         "after each phase; exit 2 on any defect")
 
@@ -113,22 +116,12 @@ def _run(args) -> int:
     """Build the spec, run the experiment and emit its rows; returns the
     exit code."""
     try:
-        seed = _resolve_seed(args.seed)
-        variants = expand_variants(args.variants, args.params)
-        spec = ExperimentSpec(
-            experiment=args.experiment,
-            variants=variants,
-            dist=args.dist,
-            sizes=args.sizes,
-            base_trees=args.base_trees,
-            seed=seed,
-            time_floor_ms=args.time_floor_ms,
-            sample_interval=args.sample_interval,
-            zipf_s=args.zipf_s,
-            universe=args.universe,
-            op_pairs=args.op_pairs,
-            audit=args.audit,
-        )
+        given = {f.name: getattr(args, f.name)
+                 for f in dataclasses.fields(ExperimentSpec)
+                 if hasattr(args, f.name)}
+        given.update(seed=_resolve_seed(args.seed),
+                     variants=expand_variants(args.variants, args.params))
+        spec = ExperimentSpec(**given)
         spec.check()
     except ValueError as e:
         print(f"wbtree-bench: error: {e}", file=sys.stderr)

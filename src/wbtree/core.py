@@ -20,36 +20,22 @@ still works: every run of equal keys is reachable by the usual three-way
 descent). Single-writer only; nothing here is safe for concurrent
 mutation.
 
-SearchTree (len, search, in-order keys) and the link edits lift (a
-rotation, on either side) and splice_out serve all three trees; each takes
-the parent of the node it moves as an argument. Weights, rotate and the
-predecessor relink are for the weight-balanced trees only, which rotate
-only through raise_child, their one rebalancing step. One link edit is
-not here: the red-black delete relinks the successor, the mirror of
-relink_predecessor, and merging the two would change red-black shapes.
+SearchTree (the root, size and sink every tree starts with; len, search,
+in-order keys, and the one clone, which copies each node with its own
+bare()) and the link edits lift (a rotation, on either side) and
+splice_out serve all three trees; each link edit takes the parent of the
+node it moves as an argument. Weights, rotate and the predecessor relink
+are for the weight-balanced trees only, which rotate only through
+raise_child, their one rebalancing step. One link edit is not here: the
+red-black delete relinks the successor, the mirror of relink_predecessor,
+and merging the two would change red-black shapes.
 """
 
 from __future__ import annotations
 
+import copy
+
 from .params import BalanceParams
-
-
-class Node:
-    """A weight-balanced node: key, two children and the subtree weight.
-
-    Neither scheme reads a parent, so nodes carry none.
-    """
-
-    __slots__ = ("key", "left", "right", "weight")
-
-    def __init__(self, key, left=None, right=None, weight=2):
-        self.key = key
-        self.left = left
-        self.right = right
-        self.weight = weight
-
-    def __repr__(self):
-        return f"Node(key={self.key!r}, weight={self.weight})"
 
 
 class _Nil:
@@ -71,8 +57,34 @@ NIL.weight = 1
 NIL.red = False
 
 
+class Node:
+    """A weight-balanced node: key, two children and the subtree weight.
+
+    Neither scheme reads a parent, so nodes carry none.
+    """
+
+    __slots__ = ("key", "left", "right", "weight")
+
+    def __init__(self, key, left=NIL, right=NIL, weight=2):
+        self.key = key
+        self.left = left
+        self.right = right
+        self.weight = weight
+
+    def bare(self):
+        return Node(self.key, NIL, NIL, self.weight)
+
+    def __repr__(self):
+        return f"Node(key={self.key!r}, weight={self.weight})"
+
+
 class SearchTree:
-    """Read-only operations shared by all three trees."""
+    """State, copy and read-only operations shared by all three trees."""
+
+    def __init__(self, sink=None):
+        self.root = NIL
+        self.size = 0
+        self.sink = sink
 
     def __len__(self):
         return self.size
@@ -87,6 +99,30 @@ class SearchTree:
                 return v
             v = v.left if key < k else v.right
         return None
+
+    def clone(self):
+        """Structure-preserving copy with fresh nodes and no sink; no
+        rebalancing runs. Each node copies itself with bare()."""
+        dup = copy.copy(self)
+        dup.sink = None
+        src = self.root
+        if src is NIL:
+            return dup
+        dup.root = top = src.bare()
+        stack = [(src, top)]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            old, new = pop()
+            ol = old.left
+            if ol is not NIL:
+                new.left = c = ol.bare()
+                push((ol, c))
+            orr = old.right
+            if orr is not NIL:
+                new.right = c = orr.bare()
+                push((orr, c))
+        return dup
 
     def inorder_keys(self) -> list:
         nil = NIL
@@ -111,41 +147,13 @@ class Tree(SearchTree):
     """
 
     def __init__(self, params: BalanceParams, sink=None):
-        self.root = NIL
-        self.size = 0
+        super().__init__(sink)
         self.params = params
-        self.sink = sink
         self._dn = params.dn
         self._dd = params.dd
         self._ds = params.dn + params.dd  # for the top-down overload tests
         self._gn = params.gn
         self._gd = params.gd
-
-    def clone(self) -> "Tree":
-        """Structure-preserving copy with fresh nodes; no rebalancing runs."""
-        dup = type(self)(self.params, sink=None)
-        dup.size = self.size
-        src = self.root
-        if src is NIL:
-            return dup
-        top = Node(src.key, NIL, NIL, src.weight)
-        dup.root = top
-        stack = [(src, top)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            old, new = pop()
-            ol = old.left
-            if ol is not NIL:
-                c = Node(ol.key, NIL, NIL, ol.weight)
-                new.left = c
-                push((ol, c))
-            orr = old.right
-            if orr is not NIL:
-                c = Node(orr.key, NIL, NIL, orr.weight)
-                new.right = c
-                push((orr, c))
-        return dup
 
 
 # The link edits. Each takes the parent p of the node it unlinks or lowers
@@ -183,7 +191,6 @@ def relink_predecessor(tree: Tree, v: Node, g: Node, u: Node, up: Node):
         g.left = u
     else:
         g.right = u
-    return up
 
 
 def lift(tree, v, h, p):

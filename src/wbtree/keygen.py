@@ -132,7 +132,8 @@ def _zipf_cumulative(universe: int, s: float) -> array:
 _zipf_table_cache: dict[tuple[int, float], array] = {}
 
 
-def _zipf_rank_table(rng: SplitMix64, universe: int, s: float, n: int) -> list[int]:
+def _zipf_rank_table(rng: SplitMix64, universe: int, s: float,
+                     n: int) -> list[int]:
     key = (universe, s)
     cum = _zipf_table_cache.get(key)
     if cum is None:
@@ -144,7 +145,8 @@ def _zipf_rank_table(rng: SplitMix64, universe: int, s: float, n: int) -> list[i
     return [bl(cum, float01() * total) + 1 for _ in range(n)]
 
 
-def _zipf_rank_reject(rng: SplitMix64, universe: int, s: float, n: int) -> list[int]:
+def _zipf_rank_reject(rng: SplitMix64, universe: int, s: float,
+                      n: int) -> list[int]:
     # Propose from the continuous density x**-s on [1, U+1) by inversion,
     # floor to a rank, and accept with probability B(1) * k**(1-s) / B(k),
     # where B(k) is the proposal mass of the cell [k, k+1) scaled by k:

@@ -117,9 +117,11 @@ def params_from_name(name: str) -> BalanceParams:
             try:
                 num, den = int(nums[0]), int(nums[1])
             except ValueError:
-                raise ValueError(f"bad custom parameter syntax: {name!r}") from None
+                raise ValueError(
+                    f"bad custom parameter syntax: {name!r}") from None
             if num <= 0 or den <= 0:
-                raise ValueError(f"custom parameter terms must be positive: {name!r}")
+                raise ValueError(
+                    f"custom parameter terms must be positive: {name!r}")
             vals.append(Fraction(num, den))
         return make_params(vals[0], vals[1])
     raise ValueError(f"unknown parameter set: {name!r}")

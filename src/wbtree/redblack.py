@@ -2,19 +2,20 @@
 
 Same multiset contract as the weight-balanced trees: equal keys descend
 left, search returns the first match on the path, delete removes one node.
-Search, the in-order walk, the rotation link edit (core.lift, which
-raises a child on either side), the one-child splice and the NIL sentinel
-are core's; the successor relink in delete is this tree's own. The
-property audit is the referee's, oracle.audit_redblack, imported here as
-audit. Nodes carry key, two children and a colour bit, and no parent link:
-insert and delete record the nodes they pass in a per-op list headed by
-the sentinel, as the bottom-up weight-balanced tree does, and the fixups
-(Cormen et al., ch. 13) walk that list back by index, handing each
-rotation the pivot's parent. Each fixup is one body for both sides, as
-Cormen et al. state it ("with left and right exchanged"): it reads once
-on which side of its parent the red p (insert) or the short x (delete)
-hangs and names the other nodes relative to that side. No node has a weight field, so when a metrics sink asks
-for rotation weights the pivot's subtree is counted on demand.
+The constructor, clone, search, the in-order walk, the rotation link edit
+(core.lift, which raises a child on either side), the one-child splice
+and the NIL sentinel are core's; the successor relink in delete is this
+tree's own. The property audit is the referee's, oracle.audit_redblack,
+imported here as audit. Nodes carry key, two children and a colour bit,
+and no parent link: insert and delete record the nodes they pass in a
+per-op list headed by the sentinel, as the bottom-up weight-balanced tree
+does, and the fixups (Cormen et al., ch. 13) walk that list back by index,
+handing each rotation the pivot's parent. Each fixup is one body for both
+sides, as Cormen et al. state it ("with left and right exchanged"): it
+reads once on which side of its parent the red p (insert) or the short x
+(delete) hangs and names the other nodes relative to that side. No node
+has a weight field, so when a metrics sink asks for rotation weights the
+pivot's subtree is counted on demand.
 
 Invariants: the root is black, a red node has no red child, and every
 root-to-leaf path crosses the same number of black nodes.
@@ -32,50 +33,21 @@ BLACK = False
 class RbNode:
     __slots__ = ("key", "left", "right", "red")
 
-    def __init__(self, key, left=None, right=None, red=True):
+    def __init__(self, key, left=NIL, right=NIL, red=True):
         self.key = key
         self.left = left
         self.right = right
         self.red = red
+
+    def bare(self):
+        return RbNode(self.key, NIL, NIL, self.red)
 
     def __repr__(self):
         color = "R" if self.red else "B"
         return f"RbNode({self.key!r}, {color})"
 
 
-
 class RedBlackTree(SearchTree):
-
-    def __init__(self, sink=None):
-        self.root = NIL
-        self.size = 0
-        self.sink = sink
-
-    def clone(self) -> "RedBlackTree":
-        """Structure- and color-preserving copy with fresh nodes."""
-        dup = RedBlackTree(sink=None)
-        nil = NIL
-        dup.size = self.size
-        src = self.root
-        if src is nil:
-            return dup
-        top = RbNode(src.key, nil, nil, src.red)
-        dup.root = top
-        stack = [(src, top)]
-        while stack:
-            old, new = stack.pop()
-            ol = old.left
-            if ol is not nil:
-                c = RbNode(ol.key, nil, nil, ol.red)
-                new.left = c
-                stack.append((ol, c))
-            orr = old.right
-            if orr is not nil:
-                c = RbNode(orr.key, nil, nil, orr.red)
-                new.right = c
-                stack.append((orr, c))
-        return dup
-
     def _subtree_weight(self, v: RbNode) -> int:
         nil = NIL
         n = 0

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from wbtree import bench
+from wbtree import bench, cli
 from wbtree.bench import AuditFailure
 from wbtree.cli import main
 
@@ -154,6 +154,35 @@ def strip_timings(csv_text):
         del cells[12:14]                    # elapsed columns vary run to run
         rows.append(cells)
     return rows
+
+
+@pytest.mark.parametrize("experiment", bench.EXPERIMENTS)
+def test_options_left_out_take_the_spec_defaults(experiment, tmp_path,
+                                                 capsys, monkeypatch):
+    # The CLI repeats no experiment default: given no experiment option, a
+    # subcommand builds the spec ExperimentSpec builds from its own
+    # defaults, with the CLI's default variants.
+    seen = []
+
+    def runner(spec, *ops):
+        seen.append(spec)
+        return []
+    monkeypatch.delenv("WBTREE_SEED", raising=False)
+    monkeypatch.setitem(bench.RUNNERS, experiment, runner)
+    monkeypatch.setattr(cli, "run_replay", runner)
+    argv = [experiment]
+    if experiment == "replay":
+        seq = tmp_path / "ops.txt"
+        seq.write_text("i 1\n")
+        argv.append(str(seq))
+    code, _, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    [spec] = seen
+    assert spec == bench.ExperimentSpec(experiment=experiment,
+                                        variants=spec.variants)
+    defaults = bench.expand_variants(["bottom_up", "top_down", "redblack"],
+                                     ["classic", "integral", "topdown"])
+    assert [v.label for v in spec.variants] == [v.label for v in defaults]
 
 
 def test_audit_failure_exit_two(capsys, monkeypatch):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from wbtree.bench import expand_variants
 from wbtree.bottom_up import BottomUpTree
 from wbtree.core import (
     NIL,
@@ -19,6 +22,11 @@ from wbtree.params import PARAM_SETS
 from wbtree.redblack import RbNode, RedBlackTree
 from wbtree.redblack import audit as rb_audit
 from wbtree.top_down import TopDownTree
+
+# Every scheme with the five named parameter sets, as test_metrics has.
+CLONE_VARIANTS = expand_variants(
+    ["bottom_up", "top_down", "redblack"],
+    ["classic", "integral", "topdown", "tight", "overtight"])
 
 
 def build(shape):
@@ -115,16 +123,75 @@ def test_search_returns_highest_duplicate_on_path():
     assert audit_structure(t) == []
 
 
+def preorder(t) -> list:
+    """Every real node of t, root first."""
+    out = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        if v is not NIL:
+            out.append(v)
+            stack += (v.right, v.left)
+    return out
+
+
+def copied_view(t):
+    """What a clone must reproduce: the shape, each node's key with its
+    weight or colour, and every tree field but the root and sink."""
+    fields = {k: x for k, x in vars(t).items() if k not in ("root", "sink")}
+    marks = [(v.key, v.red if type(v) is RbNode else v.weight)
+             for v in preorder(t)]
+    return structure_string(t), marks, fields
+
+
 def test_clone_is_deep_and_unlinked():
-    t = tree_of((10, (5, None, None), (20, (15, None, None), None)))
-    t.sink = MetricsSink()
-    c = t.clone()
-    assert dump(c) == dump(t)
-    assert c.sink is None
-    assert audit_structure(c) == []
-    assert c.root is not t.root
-    t.root.key = 99
-    assert c.root.key == 10
+    # Every variant, empty and with duplicates, clones into an equal tree
+    # that shares no node with the original, has no sink, and can be
+    # mutated without touching the original.
+    rng = random.Random(11)
+    keys = [rng.randrange(40) for _ in range(60)]
+    for vs in CLONE_VARIANTS:
+        for n in (0, len(keys)):
+            t = vs.make_tree(MetricsSink())
+            for k in keys[:n]:
+                t.insert(k)
+            before = copied_view(t)
+            c = t.clone()
+            assert type(c) is type(t), vs
+            assert copied_view(c) == before, vs
+            audit = rb_audit if vs.params is None else audit_structure
+            assert audit(c) == [], vs
+            assert len(c) == len(t) == n, vs
+            assert getattr(c, "params", None) is vs.params
+            if vs.params is not None:
+                assert dump(c) == dump(t)
+            assert c.sink is None and t.sink is not None, vs
+            assert not set(map(id, preorder(c))) & set(map(id, preorder(t)))
+            for k in range(0, 50, 3):
+                c.insert(k)
+            for k in range(0, 50, 2):
+                c.delete(k)
+            assert copied_view(t) == before, vs
+
+
+@pytest.mark.parametrize("cls", [Node, RbNode])
+def test_node_children_default_to_the_sentinel(cls):
+    # A node built with the default children is a sound one-node tree:
+    # search misses and hits, insert descends past it, the audit is clean.
+    if cls is RbNode:
+        t = RedBlackTree()
+    else:
+        t = TopDownTree(PARAM_SETS["integral"])
+    t.root = cls(5)
+    t.size = 1
+    if cls is RbNode:
+        t.root.red = False
+    assert t.root.left is NIL and t.root.right is NIL
+    assert t.search(3) is None and t.search(5) is t.root
+    t.insert(3)
+    t.insert(8)
+    assert t.inorder_keys() == [3, 5, 8]
+    assert (rb_audit if cls is RbNode else audit_structure)(t) == []
 
 
 def test_clone_copies_the_node_class_and_colours():
