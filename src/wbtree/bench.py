@@ -347,7 +347,7 @@ def run_depth_churn(spec: ExperimentSpec) -> list[MetricsRecord]:
     One pass per cell, on the built tree itself (no repetition floor: the
     result of interest is the final shape, which repetitions would just
     duplicate). Its sink is attached while the clock runs. It books
-    rotations only, but a red-black node has no weight, so each booked
+    rotations only, but a red-black node stores no weight, so each booked
     red-black rotation also walks the pivot's subtree to count it, inside
     the timed window: in two 10^5-key churn probes the sink made red-black
     passes about 1.13x as long and top-down ones 1.04-1.09x. Do not

@@ -4,7 +4,7 @@ The downward pass finds the edit point exactly as an unbalanced BST would,
 recording the nodes it passes in a list headed by the sentinel; it changes
 nothing, so a key comparison that raises leaves the tree as it was. A
 delete then unlinks its node with one of core's link edits: splice_out for
-a node with at most one child, relink_predecessor for one with two, whose
+a node with at most one child, relink_neighbour for one with two, whose
 path first extends down the left child's right spine to the predecessor,
 which then takes the deleted node's slot in the list. The upward pass walks
 the list back to the root, refreshing each node's weight from its children
@@ -13,16 +13,17 @@ rotation top-down repairs with too, chosen here by the gamma test on final
 weights; each node's parent is the entry before it. Every ancestor is
 re-checked, as deletions can push imbalance arbitrarily far up.
 
-Neither pass keeps a counter; an attached metrics sink books rotations only.
+Neither pass keeps a counter; a sink books rotations only, in core.lift.
 """
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, raise_child, relink_predecessor,
+from .core import (NIL, Node, Tree, raise_child, relink_neighbour,
                    splice_out)
 
 
 class BottomUpTree(Tree):
+    __slots__ = ()
 
     def insert(self, key) -> Node:
         nil = NIL
@@ -73,7 +74,7 @@ class BottomUpTree(Tree):
             while u.right is not nil:
                 path.append(u)
                 u = u.right
-            relink_predecessor(self, v, p, u, path[-1])
+            relink_neighbour(self, v, p, u, path[-1])
             path[i] = u
         else:
             splice_out(self, v, p)

@@ -22,13 +22,12 @@ mutation.
 
 SearchTree (the root, size and sink every tree starts with; len, search,
 in-order keys, and the one clone, which copies each node with its own
-bare()) and the link edits lift (a rotation, on either side) and
-splice_out serve all three trees; each link edit takes the parent of the
-node it moves as an argument. Weights, rotate and the predecessor relink
-are for the weight-balanced trees only, which rotate only through
-raise_child, their one rebalancing step. One link edit is not here: the
-red-black delete relinks the successor, the mirror of relink_predecessor,
-and merging the two would change red-black shapes.
+bare()) and the three link edits serve all three trees: lift (a rotation,
+on either side, booked with an attached metrics sink), splice_out and
+relink_neighbour (either in-order neighbour of a deleted node takes its
+slot). Each link edit takes the parent of the node it moves as an
+argument. Weights and rotate are for the weight-balanced trees only, which
+rotate only through raise_child, their one rebalancing step.
 """
 
 from __future__ import annotations
@@ -80,6 +79,8 @@ class Node:
 
 class SearchTree:
     """State, copy and read-only operations shared by all three trees."""
+
+    __slots__ = ("root", "size", "sink")
 
     def __init__(self, sink=None):
         self.root = NIL
@@ -146,6 +147,8 @@ class Tree(SearchTree):
     Subclasses implement insert/delete.
     """
 
+    __slots__ = ("params", "_dn", "_dd", "_ds", "_gn", "_gd")
+
     def __init__(self, params: BalanceParams, sink=None):
         super().__init__(sink)
         self.params = params
@@ -174,17 +177,26 @@ def splice_out(tree, v, p):
     return c
 
 
-def relink_predecessor(tree: Tree, v: Node, g: Node, u: Node, up: Node):
-    """Move u, the rightmost node of v's left subtree, into v's position
-    under g; up is u's parent.
+def relink_neighbour(tree, v, g, u, up):
+    """Move u, v's in-order neighbour on either side (the rightmost node of
+    v.left or the leftmost of v.right), into v's position under g; up is
+    u's parent.
 
-    u's left child takes u's old slot, and u adopts v's subtrees (keeping
-    its own left one when u is v.left). Edits links only.
+    u's only child, on the side away from v, takes u's old slot, and u
+    adopts v's subtrees, keeping that child's subtree when u is v's child.
+    Edits links only, for any of the three trees.
     """
     if up is not v:
-        up.right = u.left
+        if u is up.right:
+            up.right = u.left
+        else:
+            up.left = u.right
         u.left = v.left
-    u.right = v.right
+        u.right = v.right
+    elif u is v.left:
+        u.right = v.right
+    else:
+        u.left = v.left
     if g is NIL:
         tree.root = u
     elif g.left is v:
@@ -197,7 +209,11 @@ def lift(tree, v, h, p):
     """Raise h, v's child on either side, into v's position under p: v
     takes h's inner child in h's old slot and hangs below h on the other
     side. Edits links only, for any of the three trees; the only place in
-    any tree where a node rises by rotation."""
+    any tree where a node rises by rotation, so an attached metrics sink
+    books every rotation here, with v's weight before it turns."""
+    sink = tree.sink
+    if sink is not None:
+        sink.record_rotation(v.weight)
     if h is v.left:
         v.left = h.right
         h.right = v
@@ -216,13 +232,9 @@ def rotate(tree: Tree, v: Node, h: Node, p: Node) -> Node:
     """Weight-balanced single rotation: lift h over v, then both weights.
 
     h now holds exactly v's old subtree, so it takes v's stored weight (a
-    top-down caller's pending step included). An attached metrics sink
-    books one rotation with that weight.
+    top-down caller's pending step included, which lift books too).
     """
     w = v.weight
-    sink = tree.sink
-    if sink is not None:
-        sink.record_rotation(w)
     lift(tree, v, h, p)
     v.weight = v.left.weight + v.right.weight
     h.weight = w

@@ -2,10 +2,11 @@
 
 Same multiset contract as the weight-balanced trees: equal keys descend
 left, search returns the first match on the path, delete removes one node.
-The constructor, clone, search, the in-order walk, the rotation link edit
-(core.lift, which raises a child on either side), the one-child splice
-and the NIL sentinel are core's; the successor relink in delete is this
-tree's own. The property audit is the referee's, oracle.audit_redblack,
+The constructor, clone, search, the in-order walk, every link edit
+(core.lift, which raises a child on either side and books the rotation
+with a sink; the one-child splice; the successor relink,
+core.relink_neighbour) and the NIL sentinel are core's: this tree keeps
+only its colours. The property audit is the referee's, oracle.audit_redblack,
 imported here as audit. Nodes carry key, two children and a colour bit,
 and no parent link: insert and delete record the nodes they pass in a
 per-op list headed by the sentinel, as the bottom-up weight-balanced tree
@@ -14,8 +15,8 @@ handing each rotation the pivot's parent. Each fixup is one body for both
 sides, as Cormen et al. state it ("with left and right exchanged"): it
 reads once on which side of its parent the red p (insert) or the short x
 (delete) hangs and names the other nodes relative to that side. No node
-has a weight field, so when a metrics sink asks for rotation weights the
-pivot's subtree is counted on demand.
+stores a weight: RbNode.weight counts the pivot's subtree on demand, and
+only core.lift reads it, when a metrics sink is attached.
 
 Invariants: the root is black, a red node has no red child, and every
 root-to-leaf path crosses the same number of black nodes.
@@ -23,7 +24,7 @@ root-to-leaf path crosses the same number of black nodes.
 
 from __future__ import annotations
 
-from .core import NIL, SearchTree, lift, splice_out
+from .core import NIL, SearchTree, lift, relink_neighbour, splice_out
 from .oracle import audit_redblack as audit  # noqa: F401
 
 RED = True
@@ -42,16 +43,13 @@ class RbNode:
     def bare(self):
         return RbNode(self.key, NIL, NIL, self.red)
 
-    def __repr__(self):
-        color = "R" if self.red else "B"
-        return f"RbNode({self.key!r}, {color})"
-
-
-class RedBlackTree(SearchTree):
-    def _subtree_weight(self, v: RbNode) -> int:
+    @property
+    def weight(self) -> int:
+        """Nodes in this subtree plus one, counted on demand: no node
+        stores it, and only core.lift's booking of a rotation reads it."""
         nil = NIL
         n = 0
-        stack = [v]
+        stack = [self]
         while stack:
             x = stack.pop()
             n += 1
@@ -61,13 +59,13 @@ class RedBlackTree(SearchTree):
                 stack.append(x.right)
         return n + 1
 
-    def _lift(self, v: RbNode, h: RbNode, p: RbNode):
-        """Rotate v's child h, on either side, into v's position under p
-        (the sentinel at the root)."""
-        sink = self.sink
-        if sink is not None:
-            sink.record_rotation(self._subtree_weight(v))
-        lift(self, v, h, p)
+    def __repr__(self):
+        color = "R" if self.red else "B"
+        return f"RbNode({self.key!r}, {color})"
+
+
+class RedBlackTree(SearchTree):
+    __slots__ = ()
 
     def insert(self, key) -> RbNode:
         nil = NIL
@@ -113,11 +111,11 @@ class RedBlackTree(SearchTree):
                 p = path[i]
                 continue
             if z is (p.right if on_left else p.left):
-                self._lift(p, z, g)
+                lift(self, p, z, g)
                 p = z
             p.red = False
             g.red = True
-            self._lift(g, p, path[i - 2])
+            lift(self, g, p, path[i - 2])
             break
         self.root.red = False
 
@@ -149,17 +147,7 @@ class RedBlackTree(SearchTree):
                 y = y.left
             was_red = y.red
             x = y.right
-            yp = path[-1]
-            if yp is not z:
-                yp.left = x
-                y.right = z.right
-            y.left = z.left
-            if p is nil:
-                self.root = y
-            elif p.left is z:
-                p.left = y
-            else:
-                p.right = y
+            relink_neighbour(self, z, p, y, path[-1])
             y.red = z.red
             path[i] = y
         self.size -= 1
@@ -190,7 +178,7 @@ class RedBlackTree(SearchTree):
             if w.red:
                 w.red = False
                 p.red = True
-                self._lift(p, w, g)
+                lift(self, p, w, g)
                 # w is p's parent now; p is red, so the loop ends at p and
                 # only the rotation below reads g.
                 g = w
@@ -211,12 +199,12 @@ class RedBlackTree(SearchTree):
                 # child.
                 near.red = False
                 w.red = True
-                self._lift(w, near, p)
+                lift(self, w, near, p)
                 far = w
                 w = near
             w.red = p.red
             p.red = False
             far.red = False
-            self._lift(p, w, g)
+            lift(self, p, w, g)
             break
         x.red = False

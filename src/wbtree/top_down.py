@@ -53,11 +53,12 @@ where they happen, so an op compares the same keys with a sink as without.
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, raise_child, relink_predecessor,
+from .core import (NIL, Node, Tree, raise_child, relink_neighbour,
                    splice_out)
 
 
 class TopDownTree(Tree):
+    __slots__ = ()
 
     def insert(self, key) -> Node:
         nil = NIL
@@ -247,7 +248,7 @@ class TopDownTree(Tree):
                 u = c
                 w = cw
             c = u.right
-        relink_predecessor(self, v, p, u, up)
+        relink_neighbour(self, v, p, u, up)
         u.weight = u.left.weight + u.right.weight
 
     def _miss(self, key) -> bool:

@@ -11,7 +11,7 @@ from wbtree.core import (
     Tree,
     lift,
     raise_child,
-    relink_predecessor,
+    relink_neighbour,
     rotate,
     splice_out,
     structure_string,
@@ -135,10 +135,18 @@ def preorder(t) -> list:
     return out
 
 
+def slot_fields(t) -> dict:
+    """Every field a tree's classes declare in __slots__, by name."""
+    names = [n for cls in type(t).__mro__
+             for n in getattr(cls, "__slots__", ())]
+    return {n: getattr(t, n) for n in names}
+
+
 def copied_view(t):
     """What a clone must reproduce: the shape, each node's key with its
     weight or colour, and every tree field but the root and sink."""
-    fields = {k: x for k, x in vars(t).items() if k not in ("root", "sink")}
+    fields = {k: x for k, x in slot_fields(t).items()
+              if k not in ("root", "sink")}
     marks = [(v.key, v.red if type(v) is RbNode else v.weight)
              for v in preorder(t)]
     return structure_string(t), marks, fields
@@ -158,6 +166,9 @@ def test_clone_is_deep_and_unlinked():
             before = copied_view(t)
             c = t.clone()
             assert type(c) is type(t), vs
+            # Slotted trees: every tree-field load specialises, on a clone
+            # as on a fresh tree.
+            assert not hasattr(t, "__dict__") and not hasattr(c, "__dict__")
             assert copied_view(c) == before, vs
             audit = rb_audit if vs.params is None else audit_structure
             assert audit(c) == [], vs
@@ -371,51 +382,76 @@ def test_splice_out_leaf_one_child_and_root():
     assert audit_structure(t) == []
 
 
+def mirror_on(side, shape):
+    """shape as given for the predecessor side, mirrored for the successor
+    side."""
+    return shape if side == "predecessor" else mirror(shape)
+
+
+@pytest.mark.parametrize("side", ["predecessor", "successor"])
 @pytest.mark.parametrize("outer", [False, True])
-def test_relink_predecessor_that_is_the_left_child(outer):
-    # u = v.left keeps its own left subtree and gains v's right one.
-    inner = (10, (5, (2, None, None), None), (20, None, None))
+def test_relink_neighbour_that_is_the_child(outer, side):
+    # u = v.left keeps its own left subtree and gains v's right one; on the
+    # successor side, u = v.right keeps its right subtree.
+    inner = mirror_on(side, (10, (5, (2, None, None), None),
+                             (20, None, None)))
     t = tree_of((50, inner, (60, None, None)) if outer else inner)
     g = t.root if outer else NIL
     v = t.root.left if outer else t.root
-    u = v.left
-    relink_predecessor(t, v, g, u, v)
-    assert (u.left.key, u.right.key) == (2, 20)
+    u = v.left if side == "predecessor" else v.right
+    relink_neighbour(t, v, g, u, v)
+    assert (u.left.key, u.right.key) == ((2, 20) if side == "predecessor"
+                                         else (-20, -2))
     assert (g.left if outer else t.root) is u
     settle(t, *([g, u] if outer else [u]))
-    shape = "(5 (2 . .) (20 . .))"
+    shape = structure_string(tree_of(mirror_on(
+        side, (5, (2, None, None), (20, None, None)))))
     assert structure_string(t) == (f"(50 {shape} (60 . .))" if outer else shape)
     assert audit_structure(t) == []
 
 
+@pytest.mark.parametrize("side", ["predecessor", "successor"])
 @pytest.mark.parametrize("outer", [False, True])
-def test_relink_deeper_predecessor_hands_its_slot_to_its_left_child(outer):
-    inner = (10, (5, (2, None, None), (8, (7, None, None), None)),
-             (20, None, None))
+def test_relink_deeper_neighbour_hands_its_slot_to_its_child(outer, side):
+    # The rightmost node of v.left hands its slot to its left child; the
+    # leftmost of v.right, to its right child.
+    inner = mirror_on(side, (10, (5, (2, None, None), (8, (7, None, None),
+                                                        None)),
+                             (20, None, None)))
     t = tree_of((50, inner, (60, None, None)) if outer else inner)
     g = t.root if outer else NIL
     v = t.root.left if outer else t.root
-    five = v.left
-    u = subtree_maximum(five)
-    assert u.key == 8
-    relink_predecessor(t, v, g, u, five)
-    assert five.right.key == 7
-    assert u.left is five and u.right.key == 20
+    if side == "predecessor":
+        five = v.left
+        u = subtree_maximum(five)
+        assert u.key == 8
+    else:
+        five = v.right
+        u = five.left
+        assert u.key == -8 and u.left is NIL
+    relink_neighbour(t, v, g, u, five)
+    if side == "predecessor":
+        assert five.right.key == 7
+        assert u.left is five and u.right.key == 20
+    else:
+        assert five.left.key == -7
+        assert u.right is five and u.left.key == -20
     assert (g.left if outer else t.root) is u
     settle(t, *([g, u, five] if outer else [u, five]))
-    shape = "(8 (5 (2 . .) (7 . .)) (20 . .))"
+    shape = structure_string(tree_of(mirror_on(
+        side, (8, (5, (2, None, None), (7, None, None)), (20, None, None)))))
     assert structure_string(t) == (f"(50 {shape} (60 . .))" if outer else shape)
     assert audit_structure(t) == []
 
 
 def test_core_edits_write_no_parent_field():
-    # Each edit takes the parent as an argument: a splice, a predecessor
+    # Each edit takes the parent as an argument: a splice, a neighbour
     # relink and a lift leave a sound tree of parent-free nodes.
     t = tree_of((10, (5, (2, None, None), (8, (7, None, None), None)),
                  (20, None, (30, None, None))))
     five = t.root.left
     assert splice_out(t, t.root.right, t.root).key == 30
-    relink_predecessor(t, t.root, NIL, five.right, five)
+    relink_neighbour(t, t.root, NIL, five.right, five)
     assert structure_string(t) == "(8 (5 (2 . .) (7 . .)) (30 . .))"
     lift(t, five, five.right, t.root)
     assert t.root.left.key == 7

@@ -1,7 +1,8 @@
 """Source checks over src/wbtree/*.py that need only the standard library:
 no line is longer than 79 columns, and no imported name goes unused. A
 name imported only to be re-exported carries `# noqa: F401` on its line
-and is exempt."""
+and is exempt. Every class of the trees and their nodes declares
+__slots__."""
 
 import ast
 import glob
@@ -70,3 +71,33 @@ def test_the_unused_import_check_sees_one():
     found = list(_imported(tree, text.splitlines()))
     assert found == [("os", 1), ("c", 3)]
     assert {n for n, _ in found} - _used(tree) == {"os"}
+
+
+# The modules defining the trees and their nodes. A class without
+# __slots__ gives its instances a __dict__, and on a copy.copy clone that
+# dict stops every tree-field load from specialising.
+SLOTTED = ["core.py", "top_down.py", "bottom_up.py", "redblack.py"]
+
+
+def _classes_without_slots(tree: ast.Module) -> list[str]:
+    """Names of the classes whose body assigns no __slots__."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and not any(isinstance(stmt, ast.Assign)
+                        and any(isinstance(t, ast.Name)
+                                and t.id == "__slots__"
+                                for t in stmt.targets)
+                        for stmt in node.body)]
+
+
+@pytest.mark.parametrize("name", SLOTTED)
+def test_every_tree_and_node_class_declares_slots(name):
+    tree = ast.parse(_read(os.path.join(SRC, name)))
+    assert any(isinstance(n, ast.ClassDef) for n in ast.walk(tree))
+    assert _classes_without_slots(tree) == []
+
+
+def test_the_slots_check_sees_a_class_without():
+    tree = ast.parse("class A:\n    __slots__ = ()\n\n\n"
+                     "class B(A):\n    x = 1\n")
+    assert _classes_without_slots(tree) == ["B"]
