@@ -1,12 +1,10 @@
 """Two-pass weight-balanced tree: plain BST edit, then repair on the way up.
 
-The downward pass finds the edit point exactly as an unbalanced BST would,
-recording the nodes it passes in a list headed by the sentinel; it changes
-nothing, so a key comparison that raises leaves the tree as it was. A
-delete then unlinks its node with one of core's link edits: splice_out for
-a node with at most one child, relink_neighbour for one with two, whose
-path first extends down the left child's right spine to the predecessor,
-which then takes the deleted node's slot in the list. The upward pass walks
+The downward pass is core's plain edit, which red-black shares: core.attach
+hangs a new node, and core.detach unlinks a deleted one, handing a
+two-child node's slot to its predecessor. Each records the nodes it passes
+in a list headed by the sentinel and changes nothing before its edit, so a
+key comparison that raises leaves the tree as it was. The upward pass walks
 the list back to the root, refreshing each node's weight from its children
 and repairing any overhang with core's raise_child, the single or double
 rotation top-down repairs with too, chosen here by the gamma test on final
@@ -18,68 +16,23 @@ Neither pass keeps a counter; a sink books rotations only, in core.lift.
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, raise_child, relink_neighbour,
-                   splice_out)
+from .core import NIL, Node, Tree, attach, detach, raise_child
 
 
 class BottomUpTree(Tree):
     __slots__ = ()
 
     def insert(self, key) -> Node:
-        nil = NIL
-        v = self.root
-        node = Node(key, nil, nil, 2)
-        if v is nil:
-            self.root = node
-            self.size = 1
-            return node
-        path = [nil]
-        while True:
-            path.append(v)
-            if key <= v.key:
-                c = v.left
-                if c is nil:
-                    v.left = node
-                    break
-            else:
-                c = v.right
-                if c is nil:
-                    v.right = node
-                    break
-            v = c
-        self.size += 1
-        self._repair_upward(path)
+        node = Node(key)
+        self._repair_upward(attach(self, node))
         return node
 
     def delete(self, key) -> bool:
-        nil = NIL
-        path = [nil]
-        v = self.root
-        while v is not nil:
-            k = v.key
-            if key == k:
-                break
-            path.append(v)
-            v = v.left if key < k else v.right
-        else:
+        # The upward pass refreshes the weights the edit left stale.
+        found = detach(self, key, False)
+        if found is None:
             return False
-
-        p = path[-1]
-        if v.left is not nil and v.right is not nil:
-            # Relink the predecessor (max of the left subtree) into v's
-            # position; the upward pass refreshes the weights it left stale.
-            i = len(path)
-            path.append(v)
-            u = v.left
-            while u.right is not nil:
-                path.append(u)
-                u = u.right
-            relink_neighbour(self, v, p, u, path[-1])
-            path[i] = u
-        else:
-            splice_out(self, v, p)
-        self.size -= 1
-        self._repair_upward(path)
+        self._repair_upward(found[0])
         return True
 
     def _repair_upward(self, path: list):

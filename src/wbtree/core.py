@@ -26,8 +26,11 @@ bare()) and the three link edits serve all three trees: lift (a rotation,
 on either side, booked with an attached metrics sink), splice_out and
 relink_neighbour (either in-order neighbour of a deleted node takes its
 slot). Each link edit takes the parent of the node it moves as an
-argument. Weights and rotate are for the weight-balanced trees only, which
-rotate only through raise_child, their one rebalancing step.
+argument. attach and detach, the plain BST insert and delete, are the
+whole edit of the two trees that repair afterwards, bottom-up and
+red-black; top-down fuses its edit into its descent. Weights and rotate
+are for the weight-balanced trees only, which rotate only through
+raise_child, their one rebalancing step.
 """
 
 from __future__ import annotations
@@ -203,6 +206,79 @@ def relink_neighbour(tree, v, g, u, up):
         g.left = u
     else:
         g.right = u
+
+
+# The plain BST edits of the two trees that repair afterwards (bottom-up
+# and red-black). Each records the nodes it passes in a root-first list
+# headed by the sentinel, the path its caller's repair walks back; the
+# descent changes nothing, so a key comparison that raises leaves the tree
+# as it was.
+
+def attach(tree, node) -> list:
+    """Hang node where a plain descent on its key ends, equal keys going
+    left, and count it in size. Returns the nodes passed, the attach
+    parent last (just the sentinel when node became the root)."""
+    nil = NIL
+    key = node.key
+    path = [nil]
+    v = tree.root
+    while v is not nil:
+        path.append(v)
+        v = v.left if key <= v.key else v.right
+    p = path[-1]
+    if p is nil:
+        tree.root = node
+    elif key <= p.key:
+        p.left = node
+    else:
+        p.right = node
+    tree.size += 1
+    return path
+
+
+def detach(tree, key, successor: bool):
+    """Unlink v, the first node holding key on the search path, and
+    uncount it; None if there is none.
+
+    A v with two children hands its slot to its in-order neighbour u, the
+    successor or the predecessor as asked; otherwise u is v itself and is
+    spliced out. Returns (path, v, u, x): x is the child now in u's old
+    slot, and path ends at that slot's parent, with u in v's old entry.
+    """
+    nil = NIL
+    path = [nil]
+    v = tree.root
+    while v is not nil:
+        k = v.key
+        if key == k:
+            break
+        path.append(v)
+        v = v.left if key < k else v.right
+    else:
+        return None
+    p = path[-1]
+    if v.left is nil or v.right is nil:
+        u = v
+        x = splice_out(tree, v, p)
+    else:
+        i = len(path)
+        path.append(v)
+        if successor:
+            u = v.right
+            while u.left is not nil:
+                path.append(u)
+                u = u.left
+            x = u.right
+        else:
+            u = v.left
+            while u.right is not nil:
+                path.append(u)
+                u = u.right
+            x = u.left
+        relink_neighbour(tree, v, p, u, path[-1])
+        path[i] = u
+    tree.size -= 1
+    return path, v, u, x
 
 
 def lift(tree, v, h, p):

@@ -2,16 +2,16 @@
 
 Same multiset contract as the weight-balanced trees: equal keys descend
 left, search returns the first match on the path, delete removes one node.
-The constructor, clone, search, the in-order walk, every link edit
-(core.lift, which raises a child on either side and books the rotation
-with a sink; the one-child splice; the successor relink,
-core.relink_neighbour) and the NIL sentinel are core's: this tree keeps
-only its colours. The property audit is the referee's, oracle.audit_redblack,
-imported here as audit. Nodes carry key, two children and a colour bit,
-and no parent link: insert and delete record the nodes they pass in a
-per-op list headed by the sentinel, as the bottom-up weight-balanced tree
-does, and the fixups (Cormen et al., ch. 13) walk that list back by index,
-handing each rotation the pivot's parent. Each fixup is one body for both
+The constructor, clone, search, the in-order walk, the plain edit
+(core.attach; core.detach, which relinks the successor), core.lift, which
+raises a child on either side and books the rotation with a sink, and the
+NIL sentinel are core's: this tree keeps only its colours. The property
+audit is the referee's, oracle.audit_redblack, imported here as audit.
+Nodes carry key, two children and a colour bit, and no parent link: the
+plain edit records the nodes it passes in a per-op list headed by the
+sentinel, as for the bottom-up weight-balanced tree, and the fixups
+(Cormen et al., ch. 13) walk that list back by index, handing each
+rotation the pivot's parent. Each fixup is one body for both
 sides, as Cormen et al. state it ("with left and right exchanged"): it
 reads once on which side of its parent the red p (insert) or the short x
 (delete) hangs and names the other nodes relative to that side. No node
@@ -24,7 +24,7 @@ root-to-leaf path crosses the same number of black nodes.
 
 from __future__ import annotations
 
-from .core import NIL, SearchTree, lift, relink_neighbour, splice_out
+from .core import NIL, SearchTree, attach, detach, lift
 from .oracle import audit_redblack as audit  # noqa: F401
 
 RED = True
@@ -68,26 +68,13 @@ class RedBlackTree(SearchTree):
     __slots__ = ()
 
     def insert(self, key) -> RbNode:
-        nil = NIL
-        path = [nil]
-        v = self.root
-        while v is not nil:
-            path.append(v)
-            v = v.left if key <= v.key else v.right
-        node = RbNode(key, nil, nil, True)
-        p = path[-1]
-        if p is nil:
-            node.red = False
-            self.root = node
-        elif key <= p.key:
-            p.left = node
-        else:
-            p.right = node
-        self.size += 1
+        node = RbNode(key)
+        path = attach(self, node)
         # Under a black parent (or at the root) the new node breaks
         # nothing, so the fixup runs only under a red one.
-        if p.red:
+        if path[-1].red:
             self._insert_fixup(node, path)
+        self.root.red = False
         return node
 
     def _insert_fixup(self, z: RbNode, path: list):
@@ -117,42 +104,20 @@ class RedBlackTree(SearchTree):
             g.red = True
             lift(self, g, p, path[i - 2])
             break
-        self.root.red = False
 
     def delete(self, key) -> bool:
-        nil = NIL
-        path = [nil]
-        z = self.root
-        while z is not nil:
-            k = z.key
-            if key == k:
-                break
-            path.append(z)
-            z = z.left if key < k else z.right
-        else:
+        # Successor relink: u, the leftmost node of v's right subtree,
+        # takes v's slot, and x, its right child, takes u's old slot.
+        # Node identity moves, keys stay put.
+        found = detach(self, key, True)
+        if found is None:
             return False
-        p = path[-1]
-        if z.left is nil or z.right is nil:
-            was_red = z.red
-            x = splice_out(self, z, p)
-        else:
-            # Successor relink: y, the leftmost node of z's right subtree,
-            # takes z's slot, links and colour, and its right child x takes
-            # y's old slot. Node identity moves, keys stay put.
-            i = len(path)
-            path.append(z)
-            y = z.right
-            while y.left is not nil:
-                path.append(y)
-                y = y.left
-            was_red = y.red
-            x = y.right
-            relink_neighbour(self, z, p, y, path[-1])
-            y.red = z.red
-            path[i] = y
-        self.size -= 1
-        # Removing a red node breaks nothing, and a red x takes the lost
-        # black itself.
+        path, v, u, x = found
+        # u takes v's colour, so the colour lost is u's own (v's when u is
+        # v). Removing a red node breaks nothing, and a red x takes the
+        # lost black itself.
+        was_red = u.red
+        u.red = v.red
         if not was_red:
             if x.red:
                 x.red = False

@@ -8,7 +8,10 @@ from wbtree.bottom_up import BottomUpTree
 from wbtree.core import (
     NIL,
     Node,
+    SearchTree,
     Tree,
+    attach,
+    detach,
     lift,
     raise_child,
     relink_neighbour,
@@ -442,6 +445,118 @@ def test_relink_deeper_neighbour_hands_its_slot_to_its_child(outer, side):
         side, (8, (5, (2, None, None), (7, None, None)), (20, None, None)))))
     assert structure_string(t) == (f"(50 {shape} (60 . .))" if outer else shape)
     assert audit_structure(t) == []
+
+
+def linked(cls, shape):
+    """A SearchTree of cls nodes in shape, (key, left, right) tuples with
+    None for empty; links only, as attach and detach read no weight or
+    colour."""
+    def grow(shape):
+        if shape is None:
+            return NIL
+        key, l, r = shape
+        return cls(key, grow(l), grow(r))
+    t = SearchTree()
+    t.root = grow(shape)
+    t.size = len(t.inorder_keys())
+    return t
+
+
+LAYOUTS = pytest.mark.parametrize("cls", [Node, RbNode])
+
+
+@LAYOUTS
+def test_attach_and_detach_on_an_empty_tree(cls):
+    t = SearchTree()
+    assert detach(t, 5, True) is None and detach(t, 5, False) is None
+    assert t.root is NIL and len(t) == 0
+    node = cls(5)
+    assert attach(t, node) == [NIL]
+    assert t.root is node and len(t) == 1
+    assert (node.left, node.right) == (NIL, NIL)
+
+
+@LAYOUTS
+def test_attach_returns_the_root_first_path_to_the_attach_parent(cls):
+    t = linked(cls, (10, (5, None, (8, None, None)), (20, None, None)))
+    node = cls(7)
+    path = attach(t, node)
+    assert path[0] is NIL
+    assert [v.key for v in path[1:]] == [10, 5, 8]
+    assert path[-1].left is node and len(t) == 5
+    assert structure_string(t) == "(10 (5 . (8 (7 . .) .)) (20 . .))"
+
+
+@LAYOUTS
+def test_attach_sends_equal_keys_left(cls):
+    t = linked(cls, (10, (5, None, None), (20, None, None)))
+    ten = cls(10)
+    assert [v.key for v in attach(t, ten)[1:]] == [10, 5]
+    assert t.root.left.right is ten
+    five = cls(5)
+    assert [v.key for v in attach(t, five)[1:]] == [10, 5]
+    assert t.root.left.left is five
+    assert t.inorder_keys() == [5, 5, 10, 10, 20] and len(t) == 5
+
+
+# 2, 7, 17, 30 and 70 are leaves; 8, 15 and 60 have one child; 5, 10, 20
+# and 50 have two, with neighbours that are their own child or sit deeper.
+DETACH_SHAPE = (50, (10, (5, (2, None, None), (8, (7, None, None), None)),
+                     (20, (15, None, (17, None, None)), (30, None, None))),
+                (60, None, (70, None, None)))
+
+
+@LAYOUTS
+@pytest.mark.parametrize("successor", [True, False])
+@pytest.mark.parametrize("key", [6, 0, 99, 16])
+def test_detach_of_an_absent_key_changes_nothing(cls, successor, key):
+    t = linked(cls, DETACH_SHAPE)
+    before = structure_string(t)
+    assert detach(t, key, successor) is None
+    assert structure_string(t) == before and len(t) == 12
+
+
+@LAYOUTS
+@pytest.mark.parametrize("key,successor,u,x,path", [
+    # Leaves and one-child nodes are spliced out whichever side is asked.
+    (2, True, 2, None, [50, 10, 5]),
+    (7, False, 7, None, [50, 10, 5, 8]),
+    (8, True, 8, 7, [50, 10, 5]),
+    (15, False, 15, 17, [50, 10, 20]),
+    (60, True, 60, 70, [50]),
+    # Two children, the neighbour is v's own child: u's entry ends the path.
+    (5, False, 2, None, [50, 10, 2]),
+    (20, True, 30, None, [50, 10, 30]),
+    (50, True, 60, 70, [60]),
+    # Two children, the neighbour sits deeper.
+    (5, True, 7, None, [50, 10, 7, 8]),
+    (10, True, 15, 17, [50, 15, 20]),
+    (10, False, 8, 7, [50, 8, 5]),
+    (20, False, 17, None, [50, 10, 17, 15]),
+    (50, False, 30, None, [30, 10, 20]),
+])
+def test_detach_returns_the_neighbour_its_child_and_the_path(
+        cls, key, successor, u, x, path):
+    t = linked(cls, DETACH_SHAPE)
+    want = t.inorder_keys()
+    want.remove(key)
+    got_path, got_v, got_u, got_x = detach(t, key, successor)
+    assert got_v.key == key and got_u.key == u
+    assert (got_u is got_v) == (u == key)
+    assert (None if got_x is NIL else got_x.key) == x
+    assert got_path[0] is NIL
+    assert [v.key for v in got_path[1:]] == path
+    # x hangs in u's old slot, below the path's last entry.
+    p = got_path[-1]
+    assert (t.root is got_x) if p is NIL else got_x in (p.left, p.right)
+    if got_u is not got_v:
+        # u sits in v's old slot, in v's old entry of the path.
+        i = got_path.index(got_u)
+        above = got_path[i - 1]
+        assert t.root is got_u if above is NIL else got_u in (above.left,
+                                                             above.right)
+    # The shape's keys are distinct, so v's key is gone with v.
+    assert t.inorder_keys() == want and len(t) == 11
 
 
 def test_core_edits_write_no_parent_field():

@@ -1,7 +1,9 @@
 """All 11 variants in lockstep with SortedMultisetOracle, as a hypothesis
 state machine: inserts with duplicates, deletes of present and absent keys,
-and a full audit of every tree after every step."""
+ops whose key comparison raises midway, and a full audit of every tree
+after every step."""
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
@@ -10,6 +12,8 @@ from wbtree.bench import SCHEMES, expand_variants
 from wbtree.oracle import SortedMultisetOracle, audit_balance, audit_structure
 from wbtree.params import PARAM_SETS, SOUND_PARAMS
 from wbtree.redblack import audit as rb_audit
+
+from test_top_down import Fuse
 
 VARIANTS = expand_variants(list(SCHEMES), list(PARAM_SETS))
 
@@ -53,6 +57,21 @@ class LockstepTrees(RuleBasedStateMachine):
         assert self.oracle.remove(key)
         for label, t, _ in self.trees:
             assert t.delete(key) is True, label
+
+    @precondition(lambda self: len(self.oracle) > 0)
+    @rule(op=st.sampled_from(["insert", "delete"]), key=keys, data=st.data())
+    def raising_op(self, op, key, data):
+        # Each tree makes its own number of comparisons, so each draws its
+        # own budget, below what the op takes on a clone (at least one on a
+        # non-empty tree): the op raises in every tree, and none may change
+        # its contents or break its audit.
+        for label, t, _ in self.trees:
+            spare = Fuse(key, 10 ** 6)
+            getattr(t.clone(), op)(spare)
+            needed = 10 ** 6 - spare.budget
+            budget = data.draw(st.integers(0, needed - 1), label=label)
+            with pytest.raises(RuntimeError):
+                getattr(t, op)(Fuse(key, budget))
 
     @invariant()
     def every_tree_matches_the_oracle_and_passes_its_audit(self):
