@@ -29,7 +29,7 @@ class BottomUpTree(Tree):
 
     def delete(self, key) -> bool:
         # The upward pass refreshes the weights the edit left stale.
-        found = detach(self, key, False)
+        found = detach(self, key)
         if found is None:
             return False
         self._repair_upward(found[0])

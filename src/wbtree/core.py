@@ -22,15 +22,16 @@ mutation.
 
 SearchTree (the root, size and sink every tree starts with; len, search,
 in-order keys, and the one clone, which copies each node with its own
-bare()) and the three link edits serve all three trees: lift (a rotation,
-on either side, booked with an attached metrics sink), splice_out and
-relink_neighbour (either in-order neighbour of a deleted node takes its
-slot). Each link edit takes the parent of the node it moves as an
-argument. attach and detach, the plain BST insert and delete, are the
-whole edit of the two trees that repair afterwards, bottom-up and
-red-black; top-down fuses its edit into its descent. Weights and rotate
-are for the weight-balanced trees only, which rotate only through
-raise_child, their one rebalancing step.
+bare()), subtree_nodes (every node of a subtree, parents first) and the
+three link edits serve all three trees: lift (a rotation, on either side,
+booked with an attached metrics sink), splice_out and relink_predecessor
+(a deleted node's in-order predecessor takes its slot: the one neighbour
+every tree's delete relinks). Each link edit takes the parent of the node
+it moves as an argument. attach and detach, the plain BST insert and
+delete, are the whole edit of the two trees that repair afterwards,
+bottom-up and red-black; top-down fuses its edit into its descent.
+Weights and rotate are for the weight-balanced trees only, which rotate
+only through raise_child, their one rebalancing step.
 """
 
 from __future__ import annotations
@@ -180,26 +181,18 @@ def splice_out(tree, v, p):
     return c
 
 
-def relink_neighbour(tree, v, g, u, up):
-    """Move u, v's in-order neighbour on either side (the rightmost node of
-    v.left or the leftmost of v.right), into v's position under g; up is
-    u's parent.
+def relink_predecessor(tree, v, g, u, up):
+    """Move u, v's in-order predecessor (the rightmost node of v.left),
+    into v's position under g; up is u's parent.
 
-    u's only child, on the side away from v, takes u's old slot, and u
-    adopts v's subtrees, keeping that child's subtree when u is v's child.
-    Edits links only, for any of the three trees.
+    u's left child takes u's old slot, and u adopts v's subtrees, keeping
+    its own left subtree when u is v.left. Edits links only, for any of
+    the three trees.
     """
     if up is not v:
-        if u is up.right:
-            up.right = u.left
-        else:
-            up.left = u.right
+        up.right = u.left
         u.left = v.left
-        u.right = v.right
-    elif u is v.left:
-        u.right = v.right
-    else:
-        u.left = v.left
+    u.right = v.right
     if g is NIL:
         tree.root = u
     elif g.left is v:
@@ -236,14 +229,14 @@ def attach(tree, node) -> list:
     return path
 
 
-def detach(tree, key, successor: bool):
+def detach(tree, key):
     """Unlink v, the first node holding key on the search path, and
     uncount it; None if there is none.
 
-    A v with two children hands its slot to its in-order neighbour u, the
-    successor or the predecessor as asked; otherwise u is v itself and is
-    spliced out. Returns (path, v, u, x): x is the child now in u's old
-    slot, and path ends at that slot's parent, with u in v's old entry.
+    A v with two children hands its slot to its in-order predecessor u;
+    otherwise u is v itself and is spliced out. Returns (path, v, u, x): x
+    is the child now in u's old slot, and path ends at that slot's parent,
+    with u in v's old entry.
     """
     nil = NIL
     path = [nil]
@@ -263,19 +256,12 @@ def detach(tree, key, successor: bool):
     else:
         i = len(path)
         path.append(v)
-        if successor:
-            u = v.right
-            while u.left is not nil:
-                path.append(u)
-                u = u.left
-            x = u.right
-        else:
-            u = v.left
-            while u.right is not nil:
-                path.append(u)
-                u = u.right
-            x = u.left
-        relink_neighbour(tree, v, p, u, path[-1])
+        u = v.left
+        while u.right is not nil:
+            path.append(u)
+            u = u.right
+        x = u.left
+        relink_predecessor(tree, v, p, u, path[-1])
         path[i] = u
     tree.size -= 1
     return path, v, u, x
@@ -325,6 +311,22 @@ def raise_child(tree: Tree, v: Node, h: Node, p: Node, double: bool) -> Node:
     if double:
         h = rotate(tree, h, h.right if h is v.left else h.left, v)
     return rotate(tree, v, h, p)
+
+
+def subtree_nodes(v) -> list:
+    """Every node of the subtree rooted at v, each before its children;
+    [] for the sentinel."""
+    nil = NIL
+    if v is nil:
+        return []
+    nodes = [v]
+    push = nodes.append
+    for v in nodes:
+        if v.left is not nil:
+            push(v.left)
+        if v.right is not nil:
+            push(v.right)
+    return nodes
 
 
 def structure_string(tree) -> str:

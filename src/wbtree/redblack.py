@@ -3,7 +3,7 @@
 Same multiset contract as the weight-balanced trees: equal keys descend
 left, search returns the first match on the path, delete removes one node.
 The constructor, clone, search, the in-order walk, the plain edit
-(core.attach; core.detach, which relinks the successor), core.lift, which
+(core.attach; core.detach, which relinks the predecessor), core.lift, which
 raises a child on either side and books the rotation with a sink, and the
 NIL sentinel are core's: this tree keeps only its colours. The property
 audit is the referee's, oracle.audit_redblack, imported here as audit.
@@ -24,7 +24,7 @@ root-to-leaf path crosses the same number of black nodes.
 
 from __future__ import annotations
 
-from .core import NIL, SearchTree, attach, detach, lift
+from .core import NIL, SearchTree, attach, detach, lift, subtree_nodes
 from .oracle import audit_redblack as audit  # noqa: F401
 
 RED = True
@@ -47,17 +47,7 @@ class RbNode:
     def weight(self) -> int:
         """Nodes in this subtree plus one, counted on demand: no node
         stores it, and only core.lift's booking of a rotation reads it."""
-        nil = NIL
-        n = 0
-        stack = [self]
-        while stack:
-            x = stack.pop()
-            n += 1
-            if x.left is not nil:
-                stack.append(x.left)
-            if x.right is not nil:
-                stack.append(x.right)
-        return n + 1
+        return len(subtree_nodes(self)) + 1
 
     def __repr__(self):
         color = "R" if self.red else "B"
@@ -106,10 +96,10 @@ class RedBlackTree(SearchTree):
             break
 
     def delete(self, key) -> bool:
-        # Successor relink: u, the leftmost node of v's right subtree,
-        # takes v's slot, and x, its right child, takes u's old slot.
-        # Node identity moves, keys stay put.
-        found = detach(self, key, True)
+        # Predecessor relink: u, the rightmost node of v.left, takes v's
+        # slot, and x, its left child, takes u's old slot. Node identity
+        # moves, keys stay put.
+        found = detach(self, key)
         if found is None:
             return False
         path, v, u, x = found

@@ -53,8 +53,8 @@ where they happen, so an op compares the same keys with a sink as without.
 
 from __future__ import annotations
 
-from .core import (NIL, Node, Tree, raise_child, relink_neighbour,
-                   splice_out)
+from .core import (NIL, Node, Tree, raise_child, relink_predecessor,
+                   splice_out, subtree_nodes)
 
 
 class TopDownTree(Tree):
@@ -248,7 +248,7 @@ class TopDownTree(Tree):
                 u = c
                 w = cw
             c = u.right
-        relink_neighbour(self, v, p, u, up)
+        relink_predecessor(self, v, p, u, up)
         u.weight = u.left.weight + u.right.weight
 
     def _miss(self, key) -> bool:
@@ -265,16 +265,5 @@ class TopDownTree(Tree):
         # A key comparison raised. The links are sound, but the weights on
         # the path still hold the pending step: recount every weight,
         # children before parents.
-        nil = NIL
-        root = self.root
-        if root is nil:
-            return
-        nodes = [root]
-        push = nodes.append
-        for v in nodes:
-            if v.left is not nil:
-                push(v.left)
-            if v.right is not nil:
-                push(v.right)
-        for v in reversed(nodes):
+        for v in reversed(subtree_nodes(self.root)):
             v.weight = v.left.weight + v.right.weight

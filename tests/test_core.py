@@ -14,10 +14,11 @@ from wbtree.core import (
     detach,
     lift,
     raise_child,
-    relink_neighbour,
+    relink_predecessor,
     rotate,
     splice_out,
     structure_string,
+    subtree_nodes,
 )
 from wbtree.metrics import MetricsSink
 from wbtree.oracle import audit_structure
@@ -385,64 +386,40 @@ def test_splice_out_leaf_one_child_and_root():
     assert audit_structure(t) == []
 
 
-def mirror_on(side, shape):
-    """shape as given for the predecessor side, mirrored for the successor
-    side."""
-    return shape if side == "predecessor" else mirror(shape)
-
-
-@pytest.mark.parametrize("side", ["predecessor", "successor"])
 @pytest.mark.parametrize("outer", [False, True])
-def test_relink_neighbour_that_is_the_child(outer, side):
-    # u = v.left keeps its own left subtree and gains v's right one; on the
-    # successor side, u = v.right keeps its right subtree.
-    inner = mirror_on(side, (10, (5, (2, None, None), None),
-                             (20, None, None)))
+def test_relink_predecessor_that_is_the_child(outer):
+    # u = v.left keeps its own left subtree and gains v's right one.
+    inner = (10, (5, (2, None, None), None), (20, None, None))
     t = tree_of((50, inner, (60, None, None)) if outer else inner)
     g = t.root if outer else NIL
     v = t.root.left if outer else t.root
-    u = v.left if side == "predecessor" else v.right
-    relink_neighbour(t, v, g, u, v)
-    assert (u.left.key, u.right.key) == ((2, 20) if side == "predecessor"
-                                         else (-20, -2))
+    u = v.left
+    relink_predecessor(t, v, g, u, v)
+    assert (u.left.key, u.right.key) == (2, 20)
     assert (g.left if outer else t.root) is u
     settle(t, *([g, u] if outer else [u]))
-    shape = structure_string(tree_of(mirror_on(
-        side, (5, (2, None, None), (20, None, None)))))
+    shape = "(5 (2 . .) (20 . .))"
     assert structure_string(t) == (f"(50 {shape} (60 . .))" if outer else shape)
     assert audit_structure(t) == []
 
 
-@pytest.mark.parametrize("side", ["predecessor", "successor"])
 @pytest.mark.parametrize("outer", [False, True])
-def test_relink_deeper_neighbour_hands_its_slot_to_its_child(outer, side):
-    # The rightmost node of v.left hands its slot to its left child; the
-    # leftmost of v.right, to its right child.
-    inner = mirror_on(side, (10, (5, (2, None, None), (8, (7, None, None),
-                                                        None)),
-                             (20, None, None)))
+def test_relink_deeper_predecessor_hands_its_slot_to_its_child(outer):
+    # The rightmost node of v.left hands its slot to its left child.
+    inner = (10, (5, (2, None, None), (8, (7, None, None), None)),
+             (20, None, None))
     t = tree_of((50, inner, (60, None, None)) if outer else inner)
     g = t.root if outer else NIL
     v = t.root.left if outer else t.root
-    if side == "predecessor":
-        five = v.left
-        u = subtree_maximum(five)
-        assert u.key == 8
-    else:
-        five = v.right
-        u = five.left
-        assert u.key == -8 and u.left is NIL
-    relink_neighbour(t, v, g, u, five)
-    if side == "predecessor":
-        assert five.right.key == 7
-        assert u.left is five and u.right.key == 20
-    else:
-        assert five.left.key == -7
-        assert u.right is five and u.left.key == -20
+    five = v.left
+    u = subtree_maximum(five)
+    assert u.key == 8
+    relink_predecessor(t, v, g, u, five)
+    assert five.right.key == 7
+    assert u.left is five and u.right.key == 20
     assert (g.left if outer else t.root) is u
     settle(t, *([g, u, five] if outer else [u, five]))
-    shape = structure_string(tree_of(mirror_on(
-        side, (8, (5, (2, None, None), (7, None, None)), (20, None, None)))))
+    shape = "(8 (5 (2 . .) (7 . .)) (20 . .))"
     assert structure_string(t) == (f"(50 {shape} (60 . .))" if outer else shape)
     assert audit_structure(t) == []
 
@@ -468,7 +445,7 @@ LAYOUTS = pytest.mark.parametrize("cls", [Node, RbNode])
 @LAYOUTS
 def test_attach_and_detach_on_an_empty_tree(cls):
     t = SearchTree()
-    assert detach(t, 5, True) is None and detach(t, 5, False) is None
+    assert detach(t, 5) is None
     assert t.root is NIL and len(t) == 0
     node = cls(5)
     assert attach(t, node) == [NIL]
@@ -507,40 +484,36 @@ DETACH_SHAPE = (50, (10, (5, (2, None, None), (8, (7, None, None), None)),
 
 
 @LAYOUTS
-@pytest.mark.parametrize("successor", [True, False])
 @pytest.mark.parametrize("key", [6, 0, 99, 16])
-def test_detach_of_an_absent_key_changes_nothing(cls, successor, key):
+def test_detach_of_an_absent_key_changes_nothing(cls, key):
     t = linked(cls, DETACH_SHAPE)
     before = structure_string(t)
-    assert detach(t, key, successor) is None
+    assert detach(t, key) is None
     assert structure_string(t) == before and len(t) == 12
 
 
 @LAYOUTS
-@pytest.mark.parametrize("key,successor,u,x,path", [
-    # Leaves and one-child nodes are spliced out whichever side is asked.
-    (2, True, 2, None, [50, 10, 5]),
-    (7, False, 7, None, [50, 10, 5, 8]),
-    (8, True, 8, 7, [50, 10, 5]),
-    (15, False, 15, 17, [50, 10, 20]),
-    (60, True, 60, 70, [50]),
-    # Two children, the neighbour is v's own child: u's entry ends the path.
-    (5, False, 2, None, [50, 10, 2]),
-    (20, True, 30, None, [50, 10, 30]),
-    (50, True, 60, 70, [60]),
-    # Two children, the neighbour sits deeper.
-    (5, True, 7, None, [50, 10, 7, 8]),
-    (10, True, 15, 17, [50, 15, 20]),
-    (10, False, 8, 7, [50, 8, 5]),
-    (20, False, 17, None, [50, 10, 17, 15]),
-    (50, False, 30, None, [30, 10, 20]),
+@pytest.mark.parametrize("key,u,x,path", [
+    # Leaves and one-child nodes are spliced out.
+    (2, 2, None, [50, 10, 5]),
+    (7, 7, None, [50, 10, 5, 8]),
+    (8, 8, 7, [50, 10, 5]),
+    (15, 15, 17, [50, 10, 20]),
+    (60, 60, 70, [50]),
+    # Two children, the predecessor is v's own child: u's entry ends the
+    # path.
+    (5, 2, None, [50, 10, 2]),
+    # Two children, the predecessor sits deeper.
+    (10, 8, 7, [50, 8, 5]),
+    (20, 17, None, [50, 10, 17, 15]),
+    (50, 30, None, [30, 10, 20]),
 ])
-def test_detach_returns_the_neighbour_its_child_and_the_path(
-        cls, key, successor, u, x, path):
+def test_detach_returns_the_predecessor_its_child_and_the_path(
+        cls, key, u, x, path):
     t = linked(cls, DETACH_SHAPE)
     want = t.inorder_keys()
     want.remove(key)
-    got_path, got_v, got_u, got_x = detach(t, key, successor)
+    got_path, got_v, got_u, got_x = detach(t, key)
     assert got_v.key == key and got_u.key == u
     assert (got_u is got_v) == (u == key)
     assert (None if got_x is NIL else got_x.key) == x
@@ -559,6 +532,19 @@ def test_detach_returns_the_neighbour_its_child_and_the_path(
     assert t.inorder_keys() == want and len(t) == 11
 
 
+def test_subtree_nodes_lists_parents_before_children():
+    assert subtree_nodes(NIL) == []
+    t = tree_of(DETACH_SHAPE)
+    nodes = subtree_nodes(t.root)
+    assert len(set(nodes)) == len(nodes) == len(t) == 12
+    at = {v: i for i, v in enumerate(nodes)}
+    for v in nodes:
+        for c in (v.left, v.right):
+            if c is not NIL:
+                assert at[v] < at[c]
+    assert [v.key for v in subtree_nodes(t.root.left.left)] == [5, 2, 8, 7]
+
+
 def test_core_edits_write_no_parent_field():
     # Each edit takes the parent as an argument: a splice, a neighbour
     # relink and a lift leave a sound tree of parent-free nodes.
@@ -566,7 +552,7 @@ def test_core_edits_write_no_parent_field():
                  (20, None, (30, None, None))))
     five = t.root.left
     assert splice_out(t, t.root.right, t.root).key == 30
-    relink_neighbour(t, t.root, NIL, five.right, five)
+    relink_predecessor(t, t.root, NIL, five.right, five)
     assert structure_string(t) == "(8 (5 (2 . .) (7 . .)) (30 . .))"
     lift(t, five, five.right, t.root)
     assert t.root.left.key == 7

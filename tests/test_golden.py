@@ -47,9 +47,9 @@ INSERT_SHARE = 0.55
 
 GOLDEN = "4b9d8fa64ce194ad5e86d34d32c80a7e9700198eed3f46db75e516f121145542"
 GOLDEN_REDBLACK = (
-    "d5c00f70d7c5264d70e86118ce1619a3062b7b779f35e2e829ffe90e76c62c7c")
+    "6f298d5e5f6e5049acbc1386d4d58516b8b79c43b3d100702415c2ad676076e8")
 GOLDEN_HARNESS = (
-    "9670493f61abb99f0c083816736e1150ec74689da2e95719acc5c281156e8314")
+    "a79e12a11679e302a8928ef10895a5bd5b01a94c81dc4000127e435974b3f081")
 
 # Columns that hold wall-clock time; every other column is deterministic.
 TIMING_COLUMNS = ("elapsed_ns", "elapsed_ns_std", "normalized_elapsed")

@@ -188,6 +188,17 @@ def test_zipf_rejects_bad_s():
         gen_zipf(5, 100, 1, s=0)
 
 
+@pytest.mark.parametrize("gen", [
+    lambda: gen_zipf(5, 0, 1),
+    lambda: gen_zipf(-1, 100, 1),
+    lambda: gen_skewed(-1, 100, 1),
+    lambda: gen_presorted(-1, 1),
+], ids=["zipf-universe", "zipf-n", "skewed-n", "presorted-n"])
+def test_generators_reject_bad_sizes(gen):
+    with pytest.raises(ValueError):
+        gen()
+
+
 def test_skewed_golden_and_windows():
     w = gen_skewed(9, 1000, 5)
     assert w.keys == [618, 194, 763, 709, 211, 736, 609, 165, 780]

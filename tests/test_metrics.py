@@ -251,8 +251,8 @@ def test_negated_inserts_build_the_mirror_image(vs):
     # Every rotation raises a child on either side through one code path,
     # so inserting -k for each k must build the mirror image, with equal
     # weights or colours and the same rotations booked. Deletes do not
-    # mirror: the weight-balanced trees relink the predecessor and the
-    # red-black tree the successor.
+    # mirror: every tree relinks the predecessor, whose mirror image is
+    # the successor.
     rng = random.Random(19)
     keys = rng.sample(range(1, 10 ** 6), 3000)
     trees = []

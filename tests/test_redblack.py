@@ -224,7 +224,7 @@ RB_SIZES = (50, 500)
 RB_SEEDS = (1, 2, 3)
 RB_FAULTS = (None, "colour", "red-root", "size", "key")
 RB_AUDIT_GOLDEN = \
-    "065395b596d2425d711ee34cbdec8ae535eb1a7fec0d3e0a59b296a7225fe734"
+    "9b553ff0682b0d64212f6b345ea04a0d98a9467ce0fd32a8f8d6d0521dfb54a1"
 
 
 def faulted_rb_tree(size, seed, fault):

@@ -444,6 +444,32 @@ def test_delete_miss_leaves_the_tree_as_it_was(name):
     assert plain > 80
 
 
+def test_delete_miss_right_after_a_repair_keeps_exact_weights(monkeypatch):
+    # With totally ordered keys the node a repair leaves under the new
+    # occupant on the key's side is never empty, but NaN keys break the
+    # order: this delete rotates, re-aims into an empty child and misses
+    # there, and the weights stay exact.
+    nan = float("nan")
+    keys = [26, nan, 31, 19, 22, 13, 18, nan, nan, 34, 38, 19, nan, nan, 21]
+    sink = MetricsSink()
+    t = grown(keys, PARAM_SETS["overtight"], sink)
+    numbers = [k for k in t.inorder_keys() if k == k]
+    misses = []
+    miss = TopDownTree._miss
+
+    def counted(self, key):
+        misses.append(key)
+        return miss(self, key)
+
+    monkeypatch.setattr(TopDownTree, "_miss", counted)
+    rotations = sink.rotation_count
+    assert t.delete(35) is False
+    assert sink.rotation_count > rotations and misses == [35]
+    assert len(t) == len(keys)
+    assert [k for k in t.inorder_keys() if k == k] == numbers
+    assert audit_structure(t) == []
+
+
 @pytest.mark.parametrize("name", PARAMS)
 def test_raising_key_leaves_exact_weights(name):
     # Every budget short of what the op needs raises at a later comparison:
