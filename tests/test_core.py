@@ -483,34 +483,50 @@ DETACH_SHAPE = (50, (10, (5, (2, None, None), (8, (7, None, None), None)),
                 (60, None, (70, None, None)))
 
 
+def detach_case(cls, mirrored):
+    """DETACH_SHAPE linked from cls nodes, or its mirror image when mirrored,
+    with the sign that carries a key of DETACH_SHAPE into that tree."""
+    shape = mirror(DETACH_SHAPE) if mirrored else DETACH_SHAPE
+    return linked(cls, shape), (-1 if mirrored else 1)
+
+
 @LAYOUTS
+@pytest.mark.parametrize("mirrored", [True, False])
 @pytest.mark.parametrize("key", [6, 0, 99, 16])
-def test_detach_of_an_absent_key_changes_nothing(cls, key):
-    t = linked(cls, DETACH_SHAPE)
+def test_detach_of_an_absent_key_changes_nothing(cls, mirrored, key):
+    t, sign = detach_case(cls, mirrored)
     before = structure_string(t)
-    assert detach(t, key) is None
+    assert detach(t, sign * key) is None
     assert structure_string(t) == before and len(t) == 12
 
 
+# Keys are DETACH_SHAPE's; a mirrored row runs on its mirror image with
+# every key negated, where the predecessor of -key is the negated
+# successor of key, so two-child rows reach the neighbour from both sides.
 @LAYOUTS
-@pytest.mark.parametrize("key,u,x,path", [
+@pytest.mark.parametrize("key,mirrored,u,x,path", [
     # Leaves and one-child nodes are spliced out.
-    (2, 2, None, [50, 10, 5]),
-    (7, 7, None, [50, 10, 5, 8]),
-    (8, 8, 7, [50, 10, 5]),
-    (15, 15, 17, [50, 10, 20]),
-    (60, 60, 70, [50]),
+    (2, True, 2, None, [50, 10, 5]),
+    (7, False, 7, None, [50, 10, 5, 8]),
+    (8, True, 8, 7, [50, 10, 5]),
+    (15, False, 15, 17, [50, 10, 20]),
+    (60, True, 60, 70, [50]),
     # Two children, the predecessor is v's own child: u's entry ends the
     # path.
-    (5, 2, None, [50, 10, 2]),
+    (5, False, 2, None, [50, 10, 2]),
+    (20, True, 30, None, [50, 10, 30]),
+    (50, True, 60, 70, [60]),
     # Two children, the predecessor sits deeper.
-    (10, 8, 7, [50, 8, 5]),
-    (20, 17, None, [50, 10, 17, 15]),
-    (50, 30, None, [30, 10, 20]),
+    (5, True, 7, None, [50, 10, 7, 8]),
+    (10, True, 15, 17, [50, 15, 20]),
+    (10, False, 8, 7, [50, 8, 5]),
+    (20, False, 17, None, [50, 10, 17, 15]),
+    (50, False, 30, None, [30, 10, 20]),
 ])
-def test_detach_returns_the_predecessor_its_child_and_the_path(
-        cls, key, u, x, path):
-    t = linked(cls, DETACH_SHAPE)
+def test_detach_returns_the_neighbour_its_child_and_the_path(
+        cls, key, mirrored, u, x, path):
+    t, sign = detach_case(cls, mirrored)
+    key, u, x = sign * key, sign * u, None if x is None else sign * x
     want = t.inorder_keys()
     want.remove(key)
     got_path, got_v, got_u, got_x = detach(t, key)
@@ -518,7 +534,7 @@ def test_detach_returns_the_predecessor_its_child_and_the_path(
     assert (got_u is got_v) == (u == key)
     assert (None if got_x is NIL else got_x.key) == x
     assert got_path[0] is NIL
-    assert [v.key for v in got_path[1:]] == path
+    assert [v.key for v in got_path[1:]] == [sign * k for k in path]
     # x hangs in u's old slot, below the path's last entry.
     p = got_path[-1]
     assert (t.root is got_x) if p is NIL else got_x in (p.left, p.right)
