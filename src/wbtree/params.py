@@ -105,25 +105,17 @@ def params_from_name(name: str) -> BalanceParams:
     if name in PARAM_SETS:
         return PARAM_SETS[name]
     if name.startswith("custom:"):
-        body = name[len("custom:"):]
-        parts = body.split(":")
-        if len(parts) != 2:
-            raise ValueError(f"bad custom parameter syntax: {name!r}")
-        vals = []
-        for part in parts:
-            nums = part.split("/")
-            if len(nums) != 2:
-                raise ValueError(f"bad custom parameter syntax: {name!r}")
-            try:
-                num, den = int(nums[0]), int(nums[1])
-            except ValueError:
-                raise ValueError(
-                    f"bad custom parameter syntax: {name!r}") from None
-            if num <= 0 or den <= 0:
-                raise ValueError(
-                    f"custom parameter terms must be positive: {name!r}")
-            vals.append(Fraction(num, den))
-        return make_params(vals[0], vals[1])
+        try:
+            d, g = name[len("custom:"):].split(":")
+            dn, dd = map(int, d.split("/"))
+            gn, gd = map(int, g.split("/"))
+        except ValueError:
+            raise ValueError(
+                f"bad custom parameter syntax: {name!r}") from None
+        if min(dn, dd, gn, gd) <= 0:
+            raise ValueError(
+                f"custom parameter terms must be positive: {name!r}")
+        return make_params(Fraction(dn, dd), Fraction(gn, gd))
     raise ValueError(f"unknown parameter set: {name!r}")
 
 

@@ -10,11 +10,12 @@ and the pending arrival overloads the child's side iff
 cw * dd > (w - cw) * dn, that is iff cw * (dn + dd) > w * dn. If it does,
 core's raise_child lifts that child into the current position, by a single
 or double rotation per the gamma test, which also anticipates the grandchild
-subtree the key will land in; only then is the heavy side loaded. After a
-rotation the descent re-aims with one comparison against the node now
-occupying the position and carries on downward with the chosen child's
-weight; at most one rotation happens per level, which bounds work even for
-parameter sets with no balance guarantee.
+subtree the key will land in; only then is the heavy side loaded. The
+loop's next turn is the re-aim: it compares once against the node now
+occupying the position and steps down with the chosen child's weight,
+skipping the overload test for that raised node; so at most one rotation
+happens per level, which bounds work even for parameter sets with no
+balance guarantee.
 
 One wrinkle: the gamma test may pick a double rotation whose rising pivot
 is the key's own empty slot (the inner grandchild position the key is headed
@@ -33,11 +34,11 @@ applied and cw = weight(child) - 1 for the child about to shrink. Each level
 repairs when its sibling, weighing w - cw, outweighs delta times cw, that is
 when w * dd > cw * (dn + dd); only a repair loads the heavy sibling, which
 never holds the key, so the gamma test reads its grandchild weights
-unadjusted. After a repair the descent re-aims against the new occupant, as
-insertion does. A found node with at most one child is spliced out. One with
-two children checks its left side, which loses the predecessor, then the
-pass continues down to the predecessor, decrementing and repairing, and
-relinks it into the doomed node's place.
+unadjusted. After a repair the next turn re-aims against the new occupant
+and steps down untested, as in insertion. A found node with at most one
+child is spliced out. One with two children checks its left side, which
+loses the predecessor, then the pass continues down to the predecessor,
+decrementing and repairing, and relinks it into the doomed node's place.
 
 Nodes carry no parent link: nothing here ever climbs. If the key of a delete
 is absent, a second walk from the root down the key's path, which the
@@ -72,6 +73,7 @@ class TopDownTree(Tree):
         s = self._ds
         p = nil
         w = v.weight + 1
+        raised = None
         try:
             while True:
                 v.weight = w
@@ -80,44 +82,23 @@ class TopDownTree(Tree):
                     if c is nil:
                         v.left = node
                         break
-                    cw = c.weight + 1
-                    # Pending arrival on the left: overload iff
-                    # (|L|+1) > |R|*delta, with |R| = w - cw.
-                    if cw * s <= w * dn:
-                        p = v
-                        v = c
-                        w = cw
-                        continue
                 else:
                     c = v.right
                     if c is nil:
                         v.right = node
                         break
-                    cw = c.weight + 1
-                    if cw * s <= w * dn:
-                        p = v
-                        v = c
-                        w = cw
-                        continue
-                v = self._insert_repair(v, c, p, node)
-                if v is None:
-                    break
-                # Re-aim against the new occupant, which holds the same
-                # nodes, and descend one level without a second check.
-                v.weight = w
-                if key <= v.key:
-                    c = v.left
-                    if c is nil:
-                        v.left = node
+                cw = c.weight + 1
+                # Pending arrival on c's side: overload iff (|c|+1) >
+                # |sibling|*delta, with |sibling| = w - cw. A node just
+                # raised here is not tested again: this turn re-aims.
+                if cw * s > w * dn and v is not raised:
+                    v = raised = self._insert_repair(v, c, p, node)
+                    if v is None:
                         break
-                else:
-                    c = v.right
-                    if c is nil:
-                        v.right = node
-                        break
+                    continue
                 p = v
                 v = c
-                w = c.weight + 1
+                w = cw
         except BaseException:
             self._recount()
             raise
@@ -161,6 +142,7 @@ class TopDownTree(Tree):
         s = self._ds
         p = nil
         w = v.weight - 1
+        raised = None
         try:
             while True:
                 v.weight = w
@@ -172,7 +154,7 @@ class TopDownTree(Tree):
                     # Two children: the predecessor will leave the left
                     # subtree, so the left child is the one to shrink.
                     cw = c.weight - 1
-                    if w * dd <= cw * s:
+                    if w * dd <= cw * s or v is raised:
                         break
                 else:
                     # c is the child about to shrink; its sibling weighs
@@ -181,24 +163,14 @@ class TopDownTree(Tree):
                     if c is nil:
                         return self._miss(key)
                     cw = c.weight - 1
-                    if w * dd <= cw * s:
+                    if w * dd <= cw * s or v is raised:
                         p = v
                         v = c
                         w = cw
                         continue
-                # Raise the heavy sibling, then re-aim against the new
-                # occupant and descend one level without a second check.
-                v = self._delete_repair(v, c, p)
-                v.weight = w
-                k = v.key
-                if key == k:
-                    break
-                c = v.left if key < k else v.right
-                if c is nil:
-                    return self._miss(key)
-                p = v
-                v = c
-                w = c.weight - 1
+                # Raise the heavy sibling; the next turn re-aims against
+                # the new occupant without a second check.
+                v = raised = self._delete_repair(v, c, p)
             # v holds the key; p is its parent.
             c = v.left
             if c is nil or v.right is nil:

@@ -118,21 +118,23 @@ def test_params_from_name_custom():
     assert (p.dn, p.dd, p.gn, p.gd) == (5, 2, 7, 5)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "custom:5/2",
-        "custom:5/2:7/5:9/8",
-        "custom:5:7/5",
-        "custom:a/2:7/5",
-        "custom:5/0:7/5",
-        "custom:-3/2:7/5",
-        "nosuchset",
-        "",
-    ],
-)
-def test_params_from_name_rejects_garbage(text):
-    with pytest.raises(ValueError):
+GARBAGE = [
+    ("custom:5/2", "syntax"),
+    ("custom:5/2:7/5:9/8", "syntax"),
+    ("custom:5:7/5", "syntax"),
+    ("custom:a/2:7/5", "syntax"),
+    ("custom:5/0:7/5", "positive"),
+    ("custom:-3/2:7/5", "positive"),
+    # Malformed and non-positive: the syntax error is the one reported.
+    ("custom:0/2:7/x", "syntax"),
+    ("nosuchset", "unknown"),
+    ("", "unknown"),
+]
+
+
+@pytest.mark.parametrize("text,match", GARBAGE, ids=[t for t, _ in GARBAGE])
+def test_params_from_name_rejects_garbage(text, match):
+    with pytest.raises(ValueError, match=match):
         params_from_name(text)
 
 

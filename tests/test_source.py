@@ -1,8 +1,8 @@
 """Source checks over src/wbtree/*.py that need only the standard library:
-no line is longer than 79 columns, and no imported name goes unused. A
-name imported only to be re-exported carries `# noqa: F401` on its line
-and is exempt. Every class of the trees and their nodes declares
-__slots__."""
+no line is longer than 79 columns, no imported name goes unused, and no
+function assigns a local it never reads. A name imported only to be
+re-exported carries `# noqa: F401` on its line and is exempt. Every class
+of the trees and their nodes declares __slots__."""
 
 import ast
 import glob
@@ -71,6 +71,68 @@ def test_the_unused_import_check_sees_one():
     found = list(_imported(tree, text.splitlines()))
     assert found == [("os", 1), ("c", 3)]
     assert {n for n, _ in found} - _used(tree) == {"os"}
+
+
+def _own_scope(node: ast.AST):
+    """The nodes below a function in its own scope: nested functions,
+    lambdas and classes open scopes of their own and are skipped."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda, ast.ClassDef)):
+            yield child
+            yield from _own_scope(child)
+
+
+def _unused_locals(tree: ast.Module):
+    """(name, line) for each local a function binds by plain assignment
+    or `except ... as` and never reads, in itself or in a function nested
+    in it (pyflakes F841). Tuple unpacking, names declared global or
+    nonlocal, and names starting with `_` are exempt."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        read.update(name for n in ast.walk(fn)
+                    if isinstance(n, (ast.Global, ast.Nonlocal))
+                    for name in n.names)
+        for node in _own_scope(fn):
+            if isinstance(node, ast.Assign):
+                bound = [(t.id, t.lineno) for t in node.targets
+                         if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign,
+                                   ast.NamedExpr)):
+                t = node.target
+                bound = [(t.id, t.lineno)] if isinstance(t, ast.Name) else []
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                bound = [(node.name, node.lineno)]
+            else:
+                continue
+            yield from ((name, line) for name, line in bound
+                        if name not in read and not name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_local_is_assigned_and_never_read(path):
+    unused = [f"{os.path.basename(path)}:{line}: {name}"
+              for name, line in _unused_locals(ast.parse(_read(path)))]
+    assert unused == []
+
+
+def test_the_unused_local_check_sees_one():
+    text = ("def f(a):\n"
+            "    k = a.key\n"
+            "    _spare = a\n"
+            "    x, y = a\n"
+            "    total = 0\n"
+            "    def g():\n"
+            "        return total\n"
+            "    try:\n"
+            "        pass\n"
+            "    except ValueError as e:\n"
+            "        pass\n"
+            "    return g\n")
+    assert list(_unused_locals(ast.parse(text))) == [("k", 2), ("e", 10)]
 
 
 # The modules defining the trees and their nodes. A class without

@@ -1,7 +1,9 @@
-"""All 11 variants in lockstep with SortedMultisetOracle, as a hypothesis
+"""All 15 variants in lockstep with SortedMultisetOracle, as a hypothesis
 state machine: inserts with duplicates, deletes of present and absent keys,
 ops whose key comparison raises midway, and a full audit of every tree
-after every step."""
+after every step. Beside the named sets, both weight-balanced schemes run
+two deep infeasible custom sets, <3/2, 1> and <1, 1>, with delta and
+gamma at or near their floor of 1."""
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -15,7 +17,8 @@ from wbtree.redblack import audit as rb_audit
 
 from test_top_down import Fuse
 
-VARIANTS = expand_variants(list(SCHEMES), list(PARAM_SETS))
+DEEP_INFEASIBLE = ["custom:3/2:1/1", "custom:1/1:1/1"]
+VARIANTS = expand_variants(list(SCHEMES), [*PARAM_SETS, *DEEP_INFEASIBLE])
 
 # A narrow key range, so inserts repeat keys and deletes often miss.
 keys = st.integers(-3, 40)
@@ -83,7 +86,10 @@ class LockstepTrees(RuleBasedStateMachine):
 
 
 def test_variant_list_covers_every_scheme_and_set():
-    assert len(VARIANTS) == 11
+    assert len(VARIANTS) == 15
+    assert {vs.label for vs in VARIANTS} == {"redblack"} | {
+        f"{scheme}/{name}" for scheme in ("bottom_up", "top_down")
+        for name in [*PARAM_SETS, *DEEP_INFEASIBLE]}
 
 
 TestLockstepTrees = LockstepTrees.TestCase

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -379,6 +380,48 @@ def test_delete_compares_at_most_twice_per_level(rnd, name):
     assert plain > 200 and misses > 20
 
 
+class RotationBudget:
+    """A sink that raises once one op books more rotations than its
+    budget, so a repair that never stops fails instead of hanging."""
+
+    __slots__ = ("budget", "used", "worst")
+
+    def __init__(self):
+        self.budget = self.used = 0
+        self.worst = 0.0
+
+    def start(self, budget: int):
+        self.budget = budget
+        self.used = 0
+
+    def record_rotation(self, pivot_weight: int):
+        self.used += 1
+        self.worst = max(self.worst, self.used / self.budget)
+        if self.used > self.budget:
+            raise RuntimeError(f"{self.used} rotations in one op")
+
+
+@pytest.mark.parametrize("name", ["topdown", "tight", "overtight",
+                                  "custom:3/2:1/1", "custom:1/1:1/1"])
+def test_every_op_rotates_at_most_twice_per_level(name):
+    # One repair per level, each at most a double rotation, along a path
+    # about the tree's height: about 2 * (height + 2) rotations. The
+    # budget doubles that, so only a repair that keeps firing at one
+    # level can exhaust it.
+    sink = RotationBudget()
+    t = TopDownTree(params_from_name(name), sink=sink)
+    rng = random.Random(name)
+    for _ in range(1500):
+        sink.start(4 * (max_depth(t) + 2))
+        k = rng.randrange(60)
+        if rng.random() < 0.55:
+            t.insert(k)
+        else:
+            t.delete(k)
+    assert sink.worst > 0
+    assert audit_structure(t) == []
+
+
 keys_strategy = st.lists(st.integers(0, 40), min_size=0, max_size=120)
 param_names = st.sampled_from(["classic", "integral", "topdown", "tight", "overtight"])
 
@@ -608,3 +651,50 @@ def test_overtight_is_not_sound(cls, want):
     t.insert(2)
     assert audit_structure(t) == []
     assert audit_balance(t) == [want]
+
+
+# --- C7 on a counter --------------------------------------------------------
+
+def opcodes_per_call(fn, keys) -> float:
+    """Opcodes executed per call fn(k) over keys, counted exactly with
+    sys.settrace and f_trace_opcodes; the previous trace function is
+    restored afterwards."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for k in keys:
+            fn(k)
+    finally:
+        sys.settrace(previous)
+    return count / len(keys)
+
+
+def test_top_down_ops_execute_fewer_opcodes_than_bottom_up():
+    # C7 (tests/test_acceptance.py) times inserts on the wall clock; this
+    # companion counts opcodes, which no host drift moves. Same seeded
+    # 2,000-key tree under classic, same 300 fresh keys and 300 victims.
+    rng = random.Random(7)
+    base = [rng.random() for _ in range(2000)]
+    fresh = [rng.random() for _ in range(300)]
+    victims = rng.sample(base, 300)
+    cost = {}
+    for cls in (TopDownTree, BottomUpTree):
+        t = cls(PARAM_SETS["classic"])
+        for k in base:
+            t.insert(k)
+        cost[cls] = (opcodes_per_call(t.insert, fresh),
+                     opcodes_per_call(t.delete, victims))
+        assert len(t) == 2000
+    (td_insert, td_delete), (bu_insert, bu_delete) = (
+        cost[TopDownTree], cost[BottomUpTree])
+    assert td_insert < bu_insert, cost
+    assert td_delete < bu_delete, cost
