@@ -216,8 +216,7 @@ def _audit_cell(vs: VariantSpec, tree, spec: ExperimentSpec, where: str):
 def _timed_reps(spec: ExperimentSpec, base_tree, phase):
     """Clone, run phase, repeat until the floor or MAX_REPS, with no sink
     in the timed window; then count the phase, untimed, on base_tree
-    itself with a sink attached. Returns (durations ns, that sink,
-    base_tree)."""
+    itself with a sink attached. Returns (durations ns, that sink)."""
     floor = spec.time_floor_ms * 1_000_000
     durations: list[int] = []
     spent = 0
@@ -232,7 +231,7 @@ def _timed_reps(spec: ExperimentSpec, base_tree, phase):
         spent += dt
     base_tree.sink = sink = MetricsSink()
     phase(base_tree)
-    return durations, sink, base_tree
+    return durations, sink
 
 
 def _fill(spec: ExperimentSpec, vs: VariantSpec, size: int, sink,
@@ -264,15 +263,16 @@ def _violations(vs: VariantSpec, tree) -> int:
 
 
 def _cell(spec: ExperimentSpec, vs: VariantSpec, keys, run, where: str):
-    """Build vs on keys, let run(vs, tree) return (rows, final tree), audit
-    the final tree once. Returns the rows. The automatic collector stays
+    """Build vs on keys, let run(vs, tree) return its rows, then audit the
+    tree once. Returns the rows. The automatic collector stays
     off throughout, as it would only rescan the live trees (none is
     cyclic), and is restored however the cell exits."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        rows, final = run(vs, _build(vs, keys))
-        _audit_cell(vs, final, spec, where)
+        tree = _build(vs, keys)
+        rows = run(vs, tree)
+        _audit_cell(vs, tree, spec, where)
         return rows
     finally:
         if was_enabled:
@@ -295,15 +295,15 @@ def _grid(spec: ExperimentSpec, make_run) -> list[MetricsRecord]:
 
 
 def _timed(spec: ExperimentSpec, size: int, op: str, n_ops: int, phase):
-    """A run that times phase on clones of the built tree to the floor and
-    scans the last rep's tree."""
+    """A run that times phase on clones of the built tree to the floor,
+    then counts it on that tree and scans it."""
     def run(vs, base_tree):
-        durations, sink, final = _timed_reps(spec, base_tree, phase)
+        durations, sink = _timed_reps(spec, base_tree, phase)
         mean, std = summarize_ns(durations, n_ops)
         return [_fill(spec, vs, size, sink, op=op, rep=len(durations),
                       op_index=-1, ops=n_ops, elapsed_ns=mean,
-                      elapsed_ns_std=std, avg_depth=average_depth(final),
-                      violation_count=_violations(vs, final))], final
+                      elapsed_ns_std=std, avg_depth=average_depth(base_tree),
+                      violation_count=_violations(vs, base_tree))]
     return run
 
 
@@ -369,7 +369,7 @@ def run_depth_churn(spec: ExperimentSpec) -> list[MetricsRecord]:
             return [_fill(spec, vs, size, sink, op="churn", rep=1, ops=size,
                           op_index=-1, elapsed_ns=dt / size,
                           elapsed_ns_std=0.0, avg_depth=average_depth(t),
-                          violation_count=_violations(vs, t))], t
+                          violation_count=_violations(vs, t))]
         return run
     return _grid(spec, make_run)
 
@@ -409,7 +409,7 @@ def _churn_rows(spec: ExperimentSpec,
                     ops=pairs,
                     violation_count=(_violations(vs, t)
                                      if want_violations else -1)))
-            return samples, t
+            return samples
         return run
     return _grid(spec, make_run)
 

@@ -35,10 +35,10 @@ repairs when its sibling, weighing w - cw, outweighs delta times cw, that is
 when w * dd > cw * (dn + dd); only a repair loads the heavy sibling, which
 never holds the key, so the gamma test reads its grandchild weights
 unadjusted. After a repair the next turn re-aims against the new occupant
-and steps down untested, as in insertion. A found node with at most one
-child is spliced out. One with two children checks its left side, which
-loses the predecessor, then the pass continues down to the predecessor,
-decrementing and repairing, and relinks it into the doomed node's place.
+and steps down untested, as in insertion. The found branch ends the pass
+itself: it splices out a node with at most one child. With two, it checks
+the left side, which loses the predecessor, walks that side's right spine,
+each level taking the loop's step and re-aim, and relinks the predecessor.
 
 Nodes carry no parent link: nothing here ever climbs. If the key of a delete
 is absent, a second walk from the root down the key's path, which the
@@ -150,11 +150,13 @@ class TopDownTree(Tree):
                 if key == k:
                     c = v.left
                     if c is nil or v.right is nil:
+                        splice_out(self, v, p)
                         break
                     # Two children: the predecessor will leave the left
                     # subtree, so the left child is the one to shrink.
                     cw = c.weight - 1
                     if w * dd <= cw * s or v is raised:
+                        self._remove_two_child(v, p, c, cw)
                         break
                 else:
                     # c is the child about to shrink; its sibling weighs
@@ -171,12 +173,6 @@ class TopDownTree(Tree):
                 # Raise the heavy sibling; the next turn re-aims against
                 # the new occupant without a second check.
                 v = raised = self._delete_repair(v, c, p)
-            # v holds the key; p is its parent.
-            c = v.left
-            if c is nil or v.right is nil:
-                splice_out(self, v, p)
-            else:
-                self._remove_two_child(v, p, c.weight - 1)
         except BaseException:
             self._recount()
             raise
@@ -195,33 +191,31 @@ class TopDownTree(Tree):
             dbl = h.right.weight * self._gd > h.left.weight * self._gn
         return raise_child(self, v, h, p, dbl)
 
-    def _remove_two_child(self, v: Node, p: Node, w: int):
-        # Continue the downward pass along v.left's right spine to the
-        # predecessor u, then relink it into v's position under p. w is
-        # v.left's weight less the leaving node; each level writes its
-        # carried weight and gets one repair chance. A repair raises the
-        # level's left child, whose right child is then the repaired node:
-        # the pass re-aims there without a second check.
+    def _remove_two_child(self, d: Node, g: Node, v: Node, w: int):
+        # Continue the downward pass from v = d.left along its right spine
+        # to the predecessor, then relink it into d's position under g. w
+        # is v's weight less the leaving node. Each level takes delete's
+        # step: write w, test the right child, which shrinks, and step down
+        # or repair; the next turn re-aims against the raised node.
         nil = NIL
         dd = self._dd
         s = self._ds
-        up = v
-        u = v.left
-        c = u.right
-        while c is not nil:
-            u.weight = w
+        p = d
+        raised = None
+        while True:
+            v.weight = w
+            c = v.right
+            if c is nil:
+                break
             cw = c.weight - 1
-            if w * dd > cw * s:
-                up = self._delete_repair(u, c, up)
-                up.weight = w
-                w = u.weight - 1
-            else:
-                up = u
-                u = c
+            if w * dd <= cw * s or v is raised:
+                p = v
+                v = c
                 w = cw
-            c = u.right
-        relink_predecessor(self, v, p, u, up)
-        u.weight = u.left.weight + u.right.weight
+            else:
+                v = raised = self._delete_repair(v, c, p)
+        relink_predecessor(self, d, g, v, p)
+        v.weight = v.left.weight + v.right.weight
 
     def _miss(self, key) -> bool:
         # The key is absent: walk its path again from the root and add back

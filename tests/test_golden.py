@@ -12,9 +12,13 @@ below min(universe, 300) is found. A change to a hot loop that alters no
 shape, weight, colour, rotation or delete result leaves the digests as they
 are; anything else moves them.
 
-A third digest covers the harness: every row (less its timing columns) and
-every final shape of the five grid experiments and of a mixed replay, over
-all 11 variants with the audit on, at toy sizes and no time floor.
+A deep digest covers the same runs of both weight-balanced schemes under
+three infeasible sets with delta near 1, which repair often, so a top-down
+repair that tests the node it just raised moves it, in the predecessor walk
+too. A last digest covers the harness: every row (less its timing
+columns) and every final shape of the five grid experiments and of a mixed
+replay, over all 11 variants with the audit on, at toy sizes and no time
+floor.
 """
 
 import hashlib
@@ -40,12 +44,17 @@ from test_core import dump
 SCHEMES = {"top_down": TopDownTree, "bottom_up": BottomUpTree}
 PARAMS = ("classic", "integral", "topdown", "tight", "overtight",
           "custom:5/2:7/5", "custom:4/1:2/1", "custom:3/2:1/1")
+# Infeasible sets for GOLDEN_DEEP, apart from PARAMS, which other test
+# modules import.
+DEEP_PARAMS = ("custom:1/1:1/1", "custom:5/4:9/8", "custom:9/8:1/1")
 UNIVERSES = (30, 300, 100_000)
 SEEDS = (1, 2, 3, 4, 5, 6)
 OPS = 600
 INSERT_SHARE = 0.55
 
 GOLDEN = "4b9d8fa64ce194ad5e86d34d32c80a7e9700198eed3f46db75e516f121145542"
+GOLDEN_DEEP = (
+    "2eb71d898d8c9c9fc7c67132286122092931b2ba044280ae8a435e48d8dc1320")
 GOLDEN_REDBLACK = (
     "6f298d5e5f6e5049acbc1386d4d58516b8b79c43b3d100702415c2ad676076e8")
 GOLDEN_HARNESS = (
@@ -104,15 +113,24 @@ def run_redblack(universe, seed) -> str:
             f"{returns}\n{found}\n")
 
 
-def test_shapes_counters_and_delete_returns_match_the_golden_digest():
+def wbt_digest(params) -> str:
+    """sha256 over the runs of both weight-balanced schemes under params."""
     h = hashlib.sha256()
     for scheme, cls in SCHEMES.items():
-        for name in PARAMS:
+        for name in params:
             for universe in UNIVERSES:
                 for seed in SEEDS:
                     h.update(f"{scheme} {name} {universe} {seed}\n".encode())
                     h.update(run(cls, name, universe, seed).encode())
-    assert h.hexdigest() == GOLDEN
+    return h.hexdigest()
+
+
+def test_shapes_counters_and_delete_returns_match_the_golden_digest():
+    assert wbt_digest(PARAMS) == GOLDEN
+
+
+def test_deep_infeasible_sets_match_the_golden_digest():
+    assert wbt_digest(DEEP_PARAMS) == GOLDEN_DEEP
 
 
 def test_redblack_shapes_colours_counters_and_results_match_the_golden_digest():

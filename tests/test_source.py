@@ -1,8 +1,9 @@
 """Source checks over src/wbtree/*.py that need only the standard library:
-no line is longer than 79 columns, no imported name goes unused, and no
-function assigns a local it never reads. A name imported only to be
-re-exported carries `# noqa: F401` on its line and is exempt. Every class
-of the trees and their nodes declares __slots__."""
+no line is longer than 79 columns, no imported name goes unused, no
+function assigns a local it never reads, and no private name is defined
+that nothing in the package reads. A name imported only to be re-exported
+carries `# noqa: F401` on its line and is exempt. Every class of the trees
+and their nodes declares __slots__."""
 
 import ast
 import glob
@@ -133,6 +134,81 @@ def test_the_unused_local_check_sees_one():
             "        pass\n"
             "    return g\n")
     assert list(_unused_locals(ast.parse(text))) == [("k", 2), ("e", 10)]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) for each `_name` a module defines at its top level, as
+    a function, class or assigned constant, and for each `_name` method of
+    its classes. Dunders are exempt."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found = [(m.name, m.lineno) for m in node.body
+                     if isinstance(m, ast.FunctionDef)]
+            found.append((node.name, node.lineno))
+        elif isinstance(node, ast.FunctionDef):
+            found = [(node.name, node.lineno)]
+        elif isinstance(node, ast.Assign):
+            found = [(t.id, t.lineno) for t in node.targets
+                     if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                              ast.Name):
+            found = [(node.target.id, node.lineno)]
+        else:
+            continue
+        yield from ((name, line) for name, line in found
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _read_names(trees) -> set[str]:
+    """Every name the modules read, as a plain name, an attribute or an
+    imported name."""
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif (isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Load)):
+                read.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                read.update(alias.name for alias in n.names)
+    return read
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = _read_names(trees.values())
+    return [f"{name}:{line}: {private}" for name, tree in trees.items()
+            for private, line in _private_definitions(tree)
+            if private not in read]
+
+
+def test_every_private_name_has_a_reader():
+    assert _dead_private_names(
+        {os.path.basename(p): _read(p) for p in MODULES}) == []
+
+
+def test_the_dead_private_name_check_sees_them():
+    sources = {
+        "a.py": ("_LIMIT = 3\n"
+                 "_spare: int = 4\n"
+                 "__version__ = '1'\n"
+                 "def _helper():\n"
+                 "    return _LIMIT\n"
+                 "def _dead():\n"
+                 "    _dead_too = 1\n"
+                 "class _Box:\n"
+                 "    def __init__(self):\n"
+                 "        self._gone = 0\n"
+                 "    def _kept(self):\n"
+                 "        return 1\n"
+                 "    def _gone(self):\n"
+                 "        pass\n"),
+        "b.py": ("from .a import _Box, _helper\n"
+                 "print(_Box()._kept())\n"),
+    }
+    assert _dead_private_names(sources) == [
+        "a.py:2: _spare", "a.py:6: _dead", "a.py:13: _gone"]
 
 
 # The modules defining the trees and their nodes. A class without
